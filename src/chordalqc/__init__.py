@@ -50,7 +50,6 @@ from .loewner import (
     tau0_scan,
 )
 from .extension import (
-    DilatationSample,
     QCReport,
     extend,
     mirror_strip_points,

@@ -67,8 +67,51 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one verify-mu sample as json.dumps(indent=2) lays it out inside the report
+_SAMPLE = """\
+    {
+      "z": [
+        %s,
+        %s
+      ],
+      "mu_fd": [
+        %s,
+        %s
+      ],
+      "mu_formula": [
+        %s,
+        %s
+      ],
+      "err": %s,
+      "degenerate": %s
+    }"""
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(col) -> list:
+    """A float64 column spelled as json.dumps spells each float."""
+    text = list(map(repr, col.tolist()))
+    if not np.isfinite(col).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
+
+
 def _json_doc(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Indented JSON text of ``doc``.
+
+    A :class:`QCReport` is written as ``json.dumps`` would write its
+    ``to_json_dict()``, byte for byte, but the sample block is formatted
+    straight from the report's columns.
+    """
+    if not isinstance(doc, ext_mod.QCReport):
+        return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps(doc.to_json_dict(include_samples=False), indent=2)
+    *floats, degenerate = doc.sample_columns()
+    rows = zip(*map(_json_floats, floats), np.where(degenerate, "true", "false").tolist())
+    samples = ",\n".join(_SAMPLE % row for row in rows)
+    samples = "[\n" + samples + "\n  ]" if samples else "[]"
+    # head ends with the document's closing "\n}"; samples is its last key
+    return head[:-2] + ',\n  "samples": ' + samples + "\n}\n"
 
 
 def _complex_list(text: str):
@@ -321,10 +364,16 @@ def _cmd_horizon(ns) -> int:
     return 0
 
 
+def _horizon_for(ns, m, variant=None):
+    """The --tau override when given, else the grid-certified horizon at --k."""
+    tau = getattr(ns, "tau", None)
+    if tau is not None:
+        return tau
+    return loewner_mod.tau0_scan(m, variant or ns.variant, ns.k, grid=_grid_from(ns)).t_star
+
+
 def _field_for(ns, m):
-    if getattr(ns, "tau", None) is not None:
-        return loewner_mod.HerglotzField(m, ns.variant, ns.k, ns.tau)
-    return loewner_mod.make_field(m, ns.variant, ns.k, grid=_grid_from(ns))
+    return loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
 
 
 def _cmd_evolve(ns) -> int:
@@ -349,7 +398,7 @@ def _cmd_evolve(ns) -> int:
 
 def _cmd_pde_check(ns) -> int:
     m = parse_map_spec(ns.map)
-    field = loewner_mod.make_field(m, ns.variant, ns.k, grid=_grid_from(ns))
+    field = _field_for(ns, m)
     rng = np.random.default_rng(ns.seed)
     n = ns.samples
     z = rng.uniform(0.01, 5.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
@@ -366,9 +415,7 @@ def _cmd_pde_check(ns) -> int:
 
 def _cmd_extend(ns) -> int:
     m = parse_map_spec(ns.map)
-    tau = ns.tau
-    if tau is None:
-        tau = loewner_mod.tau0_scan(m, ns.variant, ns.k, grid=_grid_from(ns)).t_star
+    tau = _horizon_for(ns, m)
     rows = []
     for z in _complex_list(ns.z):
         v = complex(ext_mod.extend(m, ns.variant, z, tau=tau))
@@ -389,16 +436,14 @@ def _cmd_verify_mu(ns) -> int:
         m, ns.variant, k=ns.k, fd_step=ns.fd_step, fd_tolerance=ns.fd_tol,
         grid=_grid_from(ns), nx=ns.nx, ny=ns.ny, tau=ns.tau,
     )
-    doc = report.to_json_dict(include_samples=not ns.summary_only)
+    doc = report.to_json_dict(include_samples=False) if ns.summary_only else report
     _atomic_write(_json_doc(doc), ns.out)
     return 0 if report.passed else _FAIL_EXIT
 
 
 def _cmd_trace_check(ns) -> int:
     m = parse_map_spec(ns.map)
-    tau = ns.tau
-    if tau is None:
-        tau = loewner_mod.tau0_scan(m, ns.variant, ns.k, grid=_grid_from(ns)).t_star
+    tau = _horizon_for(ns, m)
     # pull the deepest level just inside the horizon
     pts = ext_mod.mirror_strip_points(tau, fd_step=1e-9,
                                       grid=_grid_from(ns), nx=ns.nx, ny=ns.ny)
@@ -420,9 +465,7 @@ def _cmd_carleson(ns) -> int:
     if ns.density == "vmoa":
         dens = carleson_mod.vmoa_density(m)
     else:
-        tau = ns.tau
-        if tau is None:
-            tau = loewner_mod.tau0_scan(m, ns.variant, ns.k, grid=_grid_from(ns)).t_star
+        tau = _horizon_for(ns, m)
         dens = carleson_mod.mu_density(m, ns.variant, tau)
         if scales is None:
             # boxes deeper than the strip have no dilatation values
@@ -442,9 +485,7 @@ def _cmd_carleson(ns) -> int:
 
 def _cmd_mu_tilde(ns) -> int:
     m = parse_map_spec(ns.map)
-    t = ns.t
-    if t is None:
-        t = loewner_mod.tau0_scan(m, "schwarzian", ns.k, grid=_grid_from(ns)).t_star
+    t = ns.t if ns.t is not None else _horizon_for(ns, m, loewner_mod.VARIANT_SCHWARZIAN)
     outer = None if ns.outer == "none" else (lambda z: np.zeros(np.shape(z), dtype=complex))
     scales = [float(v) for v in ns.scales.split(",")] if ns.scales else [2 * t, t, t / 2]
     rows = []
@@ -486,7 +527,12 @@ def main(argv=None) -> int:
     except HorizonError as exc:
         sys.stderr.write(f"chordalqc: {exc}\n")
         return _FAIL_EXIT
-    except (EvaluationError, QuadratureError, ValueError, OSError) as exc:
+    except EvaluationError as exc:
+        spec = getattr(ns, "map", None)
+        where = f"--map {spec}: " if spec else ""
+        sys.stderr.write(f"chordalqc: error: {where}{exc}\n")
+        return _USAGE_EXIT
+    except (QuadratureError, ValueError, OSError) as exc:
         sys.stderr.write(f"chordalqc: error: {exc}\n")
         return _USAGE_EXIT
 

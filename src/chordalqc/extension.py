@@ -131,24 +131,6 @@ def wirtinger_mu(F, z, step: float):
     return d_z, d_zbar, d_zbar / d_z
 
 
-@dataclass(frozen=True)
-class DilatationSample:
-    """One verified point in the reflected strip."""
-
-    z: complex
-    value: complex
-    d_z: complex
-    d_zbar: complex
-    mu_fd: complex
-    mu_formula: complex
-    fd_step: float
-    degenerate: bool
-
-    @property
-    def identity_error(self) -> float:
-        return abs(self.mu_fd - self.mu_formula)
-
-
 def mirror_strip_points(
     tau: float,
     fd_step: float = DEFAULT_FD_STEP,
@@ -223,21 +205,16 @@ class QCReport:
             and self.max_identity_error <= self.fd_tolerance
         )
 
-    def samples(self):
-        flat = zip(
-            self.points.ravel(),
-            self.values.ravel(),
-            self.d_z.ravel(),
-            self.d_zbar.ravel(),
-            self.mu_fd.ravel(),
-            self.mu_form.ravel(),
-            self.degenerate.ravel(),
-        )
-        return [
-            DilatationSample(complex(z), complex(v), complex(dz), complex(dzb), complex(mf),
-                             complex(mform), self.fd_step, bool(deg))
-            for z, v, dz, dzb, mf, mform, deg in flat
-        ]
+    def sample_columns(self) -> tuple:
+        """Flat per-sample columns of the JSON report, in row-major grid order:
+        Re z, Im z, Re/Im mu_fd, Re/Im mu_formula, err = |mu_fd - mu_formula|
+        (float64) and degenerate (bool)."""
+        z, fd, form = (a.ravel() for a in (self.points, self.mu_fd, self.mu_form))
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = fd - form
+            err = np.hypot(d.real, d.imag)
+        return (z.real, z.imag, fd.real, fd.imag, form.real, form.imag, err,
+                self.degenerate.ravel())
 
     def to_json_dict(self, include_samples: bool = True) -> dict:
         doc = {
@@ -256,15 +233,10 @@ class QCReport:
             },
         }
         if include_samples:
+            zr, zi, fr, fi, mr, mi, err, deg = (c.tolist() for c in self.sample_columns())
             doc["samples"] = [
-                {
-                    "z": [s.z.real, s.z.imag],
-                    "mu_fd": [s.mu_fd.real, s.mu_fd.imag],
-                    "mu_formula": [s.mu_formula.real, s.mu_formula.imag],
-                    "err": s.identity_error,
-                    "degenerate": s.degenerate,
-                }
-                for s in self.samples()
+                {"z": [a, b], "mu_fd": [c, d], "mu_formula": [e, f], "err": g, "degenerate": h}
+                for a, b, c, d, e, f, g, h in zip(zr, zi, fr, fi, mr, mi, err, deg)
             ]
         return doc
 

@@ -75,6 +75,8 @@ def _sqrt(v):
 
 
 def _all_finite(v):
+    if type(v) is complex or type(v) is float:  # the scalar RK4 carrier
+        return cmath.isfinite(v)
     if _is_np(v):
         return bool(np.all(np.isfinite(v)))
     if _is_mp(v):
@@ -90,6 +92,14 @@ def _any_zero(v):
     if _is_np(v):
         return bool(np.any(v == 0))
     return v == 0
+
+
+def _first_zero_center(value, center):
+    """Center of the first (row-major) point where ``value`` is zero."""
+    if not (_is_np(value) or _is_np(center)):
+        return center
+    zero, centers = np.broadcast_arrays(np.equal(value, 0), center)
+    return complex(centers.flat[int(np.argmax(zero))])
 
 
 def _on_cut(v):
@@ -212,7 +222,9 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     a._check_center(b)
     u, v = a.coeffs, b.coeffs
     if _any_zero(v[0]):
-        raise EvaluationError("division by jet with zero value")
+        raise EvaluationError(
+            f"division by jet with zero value at z={_first_zero_center(v[0], a.center)!r}"
+        )
     q0 = u[0] / v[0]
     q1 = (u[1] - q0 * v[1]) / v[0]
     q2 = (u[2] - q0 * v[2] - 2 * q1 * v[1]) / v[0]

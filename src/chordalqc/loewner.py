@@ -186,6 +186,20 @@ def _rk4_step(field: HerglotzField, w, ti: float, hh: float):
     return w
 
 
+def _substeps(field: HerglotzField, s: float, t: float, z, step: float):
+    """Check the flow arguments; return the number and size of the equal
+    RK4 substeps from s to t (none when s == t)."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not (0 <= s <= t <= field.tau0 + 1e-12):
+        raise HorizonError(f"need 0 <= s <= t <= tau0={field.tau0}, got s={s}, t={t}")
+    _require_in_h(z, "start point")
+    if t == s:
+        return 0, 0.0
+    n = max(1, math.ceil((t - s) / step))
+    return n, (t - s) / n
+
+
 def evolve(field: HerglotzField, s: float, t: float, z, step: float = 1e-3):
     """RK4 approximation of the evolution flow from time s to t, started at z.
 
@@ -193,15 +207,7 @@ def evolve(field: HerglotzField, s: float, t: float, z, step: float = 1e-3):
     identical arguments always produce identical output.  Accepts a numpy
     array of start points (the field is evaluated elementwise).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not (0 <= s <= t <= field.tau0 + 1e-12):
-        raise HorizonError(f"need 0 <= s <= t <= tau0={field.tau0}, got s={s}, t={t}")
-    _require_in_h(z, "start point")
-    if t == s:
-        return z
-    n = max(1, math.ceil((t - s) / step))
-    hh = (t - s) / n
+    n, hh = _substeps(field, s, t, z, step)
     w = z
     for i in range(n):
         w = _rk4_step(field, w, s + i * hh, hh)
@@ -224,14 +230,8 @@ class EvolutionState:
 def evolve_trace(field: HerglotzField, s: float, t: float, z, step: float = 1e-3):
     """Per-substep states of the flow, with a lockstep (step, step/2)
     Richardson difference as the accumulated error estimate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not (0 <= s <= t <= field.tau0 + 1e-12):
-        raise HorizonError(f"need 0 <= s <= t <= tau0={field.tau0}, got s={s}, t={t}")
-    _require_in_h(z, "start point")
-    n = max(1, math.ceil((t - s) / step)) if t > s else 0
+    n, hh = _substeps(field, s, t, z, step)
     states = [EvolutionState(s, s, complex(z), complex(z), step, field.K, 0.0)]
-    hh = (t - s) / n if n else 0.0
     w = w_half = z
     for i in range(n):
         ti = s + i * hh

@@ -186,3 +186,10 @@ def test_evaluation_error_exit_one(capsys):
     assert run(["eval", "--map", "identity", "--z=-1+0i"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_evaluation_error_names_map_and_point(capsys):
+    assert run(["horizon", "--map", "moebius:1,0,1,-1", *FAST_GRID]) == 1
+    err = capsys.readouterr().err
+    assert "moebius:1,0,1,-1" in err
+    assert "z=(1+0j)" in err

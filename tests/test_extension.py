@@ -1,8 +1,15 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chordalqc.cli import _json_doc
 from chordalqc.errors import DegenerateSampleError, HorizonError
 from chordalqc.extension import (
+    QCReport,
     extend,
     mirror_strip_points,
     mu_formula,
@@ -219,3 +226,47 @@ def test_qc_report_json_shape():
                                    "degenerate_count", "failures", "pass"}
     assert len(doc["samples"]) == 25
     assert set(doc["samples"][0]) == {"z", "mu_fd", "mu_formula", "err", "degenerate"}
+
+
+def test_qc_report_sample_err_is_complex_abs():
+    rep = qc_report(perturbed_identity(0.3), "pre-schwarzian", k=0.5,
+                    grid=SMALL_GRID, nx=7, ny=9)
+    samples = rep.to_json_dict()["samples"]
+    for s, fd, form in zip(samples, rep.mu_fd.ravel(), rep.mu_form.ravel()):
+        assert s["err"] == abs(complex(fd) - complex(form))
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e-7, math.inf, -math.inf, math.nan]
+)
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _EDGE_FLOATS)
+
+
+@st.composite
+def _qc_reports(draw):
+    nx, ny = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+    def column():
+        out = np.empty((nx, ny), dtype=complex)
+        out.real = np.reshape(draw(st.lists(_ANY_FLOAT, min_size=nx * ny, max_size=nx * ny)),
+                              (nx, ny))
+        out.imag = np.reshape(draw(st.lists(_ANY_FLOAT, min_size=nx * ny, max_size=nx * ny)),
+                              (nx, ny))
+        return out
+
+    points, values, d_z, d_zbar, mu_fd, mu_form = (column() for _ in range(6))
+    degenerate = np.reshape(draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)),
+                            (nx, ny)).astype(bool)
+    variant = draw(st.sampled_from(("schwarzian", "pre-schwarzian")))
+    failures = tuple(draw(st.lists(st.sampled_from(("guard", "horizon")), max_size=2)))
+    return QCReport("counterexample-f", variant, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+                    1e-5, 1e-6, points, values, d_z, d_zbar, mu_fd, mu_form,
+                    degenerate, failures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rep=_qc_reports())
+def test_json_doc_of_qc_report_matches_json_dumps(rep):
+    with np.errstate(all="ignore"):
+        expected = json.dumps(rep.to_json_dict(), indent=2) + "\n"
+        assert _json_doc(rep) == expected

@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from chordalqc.errors import BranchCutError, EvaluationError
 from chordalqc.jets import (
     Jet,
+    _all_finite,
     jet_compose,
     jet_constant,
     jet_div,
@@ -64,6 +67,14 @@ def test_division_by_zero_value_rejected():
     x = lift_variable(0.0)
     with pytest.raises(EvaluationError, match="zero value"):
         jet_div(jet_constant(1.0, 0.0), x)
+
+
+def test_division_by_zero_value_names_first_point():
+    x = lift_variable(np.array([[2.0 + 1j, 1.0 + 0j], [0.0 + 0j, 1.0 + 0j]]))
+    with pytest.raises(EvaluationError, match=r"zero value at z=\(1\+0j\)$"):
+        jet_div(jet_constant(1.0, x.center), x - 1.0)
+    with pytest.raises(EvaluationError, match=r"zero value at z=0j$"):
+        jet_div(jet_constant(1.0, 0j), lift_variable(0j))
 
 
 def test_elementary_anchor_tables():
@@ -227,3 +238,25 @@ def test_constructor_rejects_nan():
         Jet(0.0, (complex("nan"), 0, 0, 0, 0))
     with pytest.raises(EvaluationError):
         Jet(0.0, (np.array([1.0, np.inf]), 0, 0, 0, 0))
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+)
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _EDGE_FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=_ANY_FLOAT, im=_ANY_FLOAT, n=st.integers(-(2 ** 62), 2 ** 62))
+def test_all_finite_scalar_branch_matches_generic(re, im, n):
+    # complex/float take the fast branch; numpy and mpmath carriers the generic ones
+    z = complex(re, im)
+    finite = math.isfinite(re) and math.isfinite(im)
+    assert _all_finite(z) is finite
+    assert _all_finite(np.complex128(z)) is finite
+    assert bool(_all_finite(mpmath.mpc(re, im))) is finite
+    assert _all_finite(re) is math.isfinite(re)
+    assert _all_finite(np.float64(re)) is math.isfinite(re)
+    assert bool(_all_finite(mpmath.mpf(re))) is math.isfinite(re)
+    assert _all_finite(n) is True
+    assert _all_finite(np.array([z, 1.0])) is finite

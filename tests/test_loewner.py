@@ -153,14 +153,15 @@ def test_evolve_speed_limit():
 
 def test_evolve_validates_arguments():
     field = small_field(identity())
-    with pytest.raises(HorizonError):
-        evolve(field, 0.5, 0.2, 1.0)
-    with pytest.raises(HorizonError):
-        evolve(field, 0.0, 2.0, 1.0)
-    with pytest.raises(HorizonError):
-        evolve(field, 0.0, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        evolve(field, 0.0, 0.5, 1.0, step=0.0)
+    for flow in (evolve, evolve_trace):
+        with pytest.raises(HorizonError, match="need 0 <= s <= t <= tau0"):
+            flow(field, 0.5, 0.2, 1.0)
+        with pytest.raises(HorizonError, match="need 0 <= s <= t <= tau0"):
+            flow(field, 0.0, 2.0, 1.0)
+        with pytest.raises(HorizonError, match="start point: point left the right half-plane"):
+            flow(field, 0.0, 0.5, -1.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            flow(field, 0.0, 0.5, 1.0, step=0.0)
 
 
 def test_evolve_trace_consistency():
