@@ -17,7 +17,6 @@ from .maps import (
     cayley,
     compose,
     counterexample_f,
-    eval_jet,
     half_strip_g,
     identity,
     moebius,

@@ -38,6 +38,12 @@ DEFAULT_SCALES = tuple(2.0 ** (-j) for j in range(11))
 DEFAULT_POSITIONS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
 DEFAULT_VANISH_THRESHOLD = 0.05
 
+# node doubling: Gauss-Legendre nodes per axis and panel from N_START up to
+# N_MAX, until successive estimates differ by at most rel_tol*|est| + ABS_TOL
+N_START = 32
+N_MAX = 512
+ABS_TOL = 1e-15
+
 
 @dataclass(frozen=True)
 class Density:
@@ -75,13 +81,13 @@ def _panel_nodes(a: float, b: float, n: int, sqrt_edge: bool):
     return mid + half * u, w * half
 
 
-def _box_integral(density: Density, center_y: float, length: float, n: int) -> float:
-    y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
-    y_edges = [y_lo] + sorted(b for b in density.y_breakpoints if y_lo < b < y_hi) + [y_hi]
-    x_edges = [0.0] + sorted(b for b in density.x_breakpoints if 0.0 < b < length) + [length]
+def _tensor_sum(density: Density, x_edges: list, y_edges: list, n: int) -> float:
+    """Tensor Gauss-Legendre sum with n nodes per axis on every panel; a
+    panel starting at the axis (x = 0) is integrated in u with x = u^2."""
     total = 0.0
     for i in range(len(x_edges) - 1):
-        xnodes, xweights = _panel_nodes(x_edges[i], x_edges[i + 1], n, sqrt_edge=(i == 0))
+        xnodes, xweights = _panel_nodes(x_edges[i], x_edges[i + 1], n,
+                                        sqrt_edge=(x_edges[i] == 0.0))
         for j in range(len(y_edges) - 1):
             ynodes, yweights = _panel_nodes(y_edges[j], y_edges[j + 1], n, sqrt_edge=False)
             if density.side == "H*":
@@ -93,32 +99,34 @@ def _box_integral(density: Density, center_y: float, length: float, n: int) -> f
     return total
 
 
-def box_ratio(
-    density: Density,
-    center_y: float,
-    length: float,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-15,
-    n_start: int = 32,
-    n_max: int = 512,
-) -> float:
-    """lambda(box)/|I| for the box at i*center_y with side |I| = length,
-    converged by node doubling to the requested relative change."""
-    if length <= 0:
-        raise ValueError("interval length must be positive")
+def _box_integral(density: Density, center_y: float, length: float,
+                  x_lo: float, x_hi: float, rel_tol: float) -> float:
+    """Integral of the density over x_lo < |Re z| < x_hi and
+    |Im z - center_y| < length/2, converged by node doubling."""
+    y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
+    y_edges = [y_lo] + sorted(b for b in density.y_breakpoints if y_lo < b < y_hi) + [y_hi]
+    x_edges = [x_lo] + sorted(b for b in density.x_breakpoints if x_lo < b < x_hi) + [x_hi]
     history = []
-    n = n_start
-    while n <= n_max:
-        est = _box_integral(density, center_y, length, n)
-        if history and abs(est - history[-1][1]) <= rel_tol * abs(est) + abs_tol:
-            return est / length
+    n = N_START
+    while n <= N_MAX:
+        est = _tensor_sum(density, x_edges, y_edges, n)
+        if history and abs(est - history[-1][1]) <= rel_tol * abs(est) + ABS_TOL:
+            return est
         history.append((n, est))
         n *= 2
     tail = ", ".join(f"{e!r} (n={m})" for m, e in history[-2:])
     raise QuadratureError(
         f"box integral did not converge for {density.name!r} at center_y={center_y}, "
-        f"|I|={length}; last estimates {tail}"
+        f"|I|={length}, x in ({x_lo}, {x_hi}); last estimates {tail}"
     )
+
+
+def box_ratio(density: Density, center_y: float, length: float, rel_tol: float = 1e-6) -> float:
+    """lambda(box)/|I| for the box at i*center_y with side |I| = length,
+    converged by node doubling to the requested relative change."""
+    if length <= 0:
+        raise ValueError("interval length must be positive")
+    return _box_integral(density, center_y, length, 0.0, length, rel_tol) / length
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,6 @@ def carleson_scan(
     positions=None,
     rel_tol: float = 1e-6,
     vanish_threshold: float = DEFAULT_VANISH_THRESHOLD,
-    n_start: int = 32,
-    n_max: int = 512,
 ) -> CarlesonReport:
     """Full ratio table over dyadic scales and sliding positions."""
     scales = tuple(sorted((float(s) for s in (scales or DEFAULT_SCALES)), reverse=True))
@@ -182,9 +188,7 @@ def carleson_scan(
     table = np.zeros((len(scales), len(positions)))
     for i, sc in enumerate(scales):
         for j, cy in enumerate(positions):
-            table[i, j] = box_ratio(
-                density, cy, sc, rel_tol=rel_tol, n_start=n_start, n_max=n_max
-            )
+            table[i, j] = box_ratio(density, cy, sc, rel_tol=rel_tol)
     return CarlesonReport(density.name, scales, positions, table, vanish_threshold)
 
 
@@ -278,8 +282,6 @@ def bigbox_decomposition(
     length: float,
     outer=None,
     rel_tol: float = 1e-8,
-    n_start: int = 32,
-    n_max: int = 512,
 ) -> BigBoxSplit:
     """Compute the composite box ratio and, independently, its inner-strip
     and outer parts.
@@ -288,10 +290,7 @@ def bigbox_decomposition(
     region on H (an algebraically equal but separately coded expression);
     the outer part integrates |outer(z+t)|^2/(-2 Re z).
     """
-    total = box_ratio(
-        composite_density(h, t, outer), center_y, length,
-        rel_tol=rel_tol, n_start=n_start, n_max=n_max,
-    )
+    total = box_ratio(composite_density(h, t, outer), center_y, length, rel_tol=rel_tol)
 
     def _inner(z):
         s = derivative_ratios(h.jet(z))[1]
@@ -299,8 +298,7 @@ def bigbox_decomposition(
 
     x_in = min(t, length)
     inner_density = Density("bigbox-inner", "H", _inner)
-    inner_term = _converged_ratio(inner_density, center_y, length, 0.0, x_in,
-                                  rel_tol, n_start, n_max)
+    inner_term = _box_integral(inner_density, center_y, length, 0.0, x_in, rel_tol) / length
 
     if length > t:
         if outer is None:
@@ -311,32 +309,11 @@ def bigbox_decomposition(
                 return np.abs(m) ** 2 / (-2.0 * np.real(z))
 
             outer_density = Density("bigbox-outer", "H*", _outer)
-            outer_term = _converged_ratio(outer_density, center_y, length, t, length,
-                                          rel_tol, n_start, n_max)
+            outer_term = _box_integral(outer_density, center_y, length, t, length,
+                                       rel_tol) / length
     else:
         outer_term = 0.0
     return BigBoxSplit(length, center_y, total, inner_term, outer_term)
-
-
-def _converged_ratio(density, center_y, length, x_lo, x_hi, rel_tol, n_start, n_max):
-    """Node-doubled integral of one x-subrange of a box, divided by |I|."""
-    y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
-    prev = None
-    n = n_start
-    while n <= n_max:
-        ynodes, yweights = _panel_nodes(y_lo, y_hi, n, sqrt_edge=False)
-        xnodes, xweights = _panel_nodes(x_lo, x_hi, n, sqrt_edge=(x_lo == 0.0))
-        if density.side == "H*":
-            pts = -xnodes[:, None] + 1j * ynodes[None, :]
-        else:
-            pts = xnodes[:, None] + 1j * ynodes[None, :]
-        vals = np.asarray(density.evaluator(pts), dtype=float)
-        est = float(xweights @ vals @ yweights)
-        if prev is not None and abs(est - prev) <= rel_tol * abs(est) + 1e-15:
-            return est / length
-        prev = est
-        n *= 2
-    raise QuadratureError(f"{density.name!r} integral did not converge on x in ({x_lo}, {x_hi})")
 
 
 def weighted_sup_scan(psi, alpha: float, grid: StripGrid | None = None,

@@ -229,6 +229,10 @@ def build_parser() -> _Parser:
     _add_common(p, fmt_default="json")
 
     p = sub.add_parser("trace-check", help="chain-trace vs closed-form extension equality",
+                       description="Compare the chain member h_t at t = -Re z, evaluated at "
+                       "i Im z, with the closed-form extension at z.  Both code one identity "
+                       "and use the same jet, so this guards the algebra of the two formulas; "
+                       "it is not independent numerical evidence for the extension.",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--map", required=True)
     _add_variant(p)

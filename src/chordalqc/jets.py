@@ -20,6 +20,12 @@ Principal branches are used everywhere.  Jets of log/sqrt/pow reject a
 value on the cut (-inf, 0] because the derivative coefficients are
 singular or side-dependent there; the scalar helpers are more permissive
 so that boundary values of maps can still be computed.
+
+Finiteness is checked at the edges of a computation, not in every
+operation: :func:`lift_variable` rejects a non-finite point, and
+:func:`require_finite` (called by ``ConformalMap.jet``) a non-finite
+result.  Branch-cut and zero checks stay inside the operations that need
+them, because a result cannot show that a cut was crossed.
 """
 
 from __future__ import annotations
@@ -94,12 +100,22 @@ def _any_zero(v):
     return v == 0
 
 
-def _first_zero_center(value, center):
-    """Center of the first (row-major) point where ``value`` is zero."""
-    if not (_is_np(value) or _is_np(center)):
+def _first_center(bad, center):
+    """Center of the first (row-major) point where the mask ``bad`` is true."""
+    if not (_is_np(bad) or _is_np(center)):
         return center
-    zero, centers = np.broadcast_arrays(np.equal(value, 0), center)
-    return complex(centers.flat[int(np.argmax(zero))])
+    bad, centers = np.broadcast_arrays(bad, center)
+    return complex(centers.flat[int(np.argmax(bad))])
+
+
+def _first_nonfinite(values, center):
+    """Center of the first point where one of ``values`` is NaN or infinite."""
+    if not _is_np(center):
+        return center
+    bad = False
+    for v in values:
+        bad = bad | ~np.isfinite(v)
+    return _first_center(bad, center)
 
 
 def _on_cut(v):
@@ -122,7 +138,8 @@ class Jet:
     """Value and derivatives ``(f, f', f'', f''', f'''')`` at ``center``.
 
     Immutable after construction; every operation returns a fresh Jet.
-    The constructor rejects non-finite coefficients.
+    Finiteness is checked where points enter (:func:`lift_variable`) and
+    where a map's jet leaves (:func:`require_finite`), not here.
     """
 
     __slots__ = ("center", "coeffs")
@@ -131,11 +148,6 @@ class Jet:
         coeffs = tuple(coeffs)
         if len(coeffs) != ORDER + 1:
             raise ValueError(f"a jet needs {ORDER + 1} coefficients, got {len(coeffs)}")
-        if not _all_finite(center):
-            raise EvaluationError("jet center must be finite")
-        for c in coeffs:
-            if not _all_finite(c):
-                raise EvaluationError("jet coefficients must be finite (no NaN/Inf)")
         self.center = center
         self.coeffs = coeffs
 
@@ -198,8 +210,19 @@ def lift_variable(z0) -> Jet:
     if isinstance(z0, (int, float)):
         z0 = complex(z0)
     if not _all_finite(z0):
-        raise EvaluationError("cannot lift a non-finite point")
+        raise EvaluationError(f"cannot lift a non-finite point z={_first_nonfinite((z0,), z0)!r}")
     return Jet(z0, (z0, 1.0, 0.0, 0.0, 0.0))
+
+
+def require_finite(jet: Jet) -> Jet:
+    """``jet`` itself when every coefficient is finite; otherwise an
+    EvaluationError naming the first point with a NaN or infinity."""
+    for c in jet.coeffs:
+        if not _all_finite(c):
+            raise EvaluationError(
+                f"non-finite jet coefficient at z={_first_nonfinite(jet.coeffs, jet.center)!r}"
+            )
+    return jet
 
 
 def jet_constant(value, z0) -> Jet:
@@ -223,7 +246,7 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     u, v = a.coeffs, b.coeffs
     if _any_zero(v[0]):
         raise EvaluationError(
-            f"division by jet with zero value at z={_first_zero_center(v[0], a.center)!r}"
+            f"division by jet with zero value at z={_first_center(np.equal(v[0], 0), a.center)!r}"
         )
     q0 = u[0] / v[0]
     q1 = (u[1] - q0 * v[1]) / v[0]

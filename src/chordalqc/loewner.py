@@ -97,8 +97,26 @@ class HerglotzField:
         return _herglotz_value(self.base_map, self.variant, z, t)
 
 
-def _herglotz_value(h: ConformalMap, variant: str, z, t):
-    pf, sf, _ = derivative_ratios(h.jet(z + t))
+def _terms(h: ConformalMap, z, t):
+    """h'(z+t), Ph(z+t) and Sh(z+t) from one jet evaluation."""
+    jet = h.jet(z + t)
+    pf, sf, _ = derivative_ratios(jet)
+    return jet.coeffs[1], pf, sf
+
+
+def _chain_derivatives(variant: str, c1, pf, sf, z, t):
+    """(dh_t/dt, dh_t/dz) from h', Ph and Sh at z+t."""
+    if variant == VARIANT_PRE:
+        return -c1 * (1 + 2 * t * pf), c1 * (1 - 2 * t * pf)
+    den = 1 + t * pf
+    _guard(den, "|1 + t Ph(z+t)|", z, t)
+    den2 = den * den
+    s2 = 2 * t * t * sf
+    return -c1 * (1 - s2) / den2, c1 * (1 + s2) / den2
+
+
+def _field_value(variant: str, pf, sf, z, t):
+    """p(z,t) from Ph and Sh at z+t."""
     if variant == VARIANT_SCHWARZIAN:
         den = 1 + 2 * t * t * sf
         _guard(den, "|1 + 2t^2 Sh(z+t)|", z, t)
@@ -106,6 +124,11 @@ def _herglotz_value(h: ConformalMap, variant: str, z, t):
     den = 1 - 2 * t * pf
     _guard(den, "|1 - 2t Pf(z+t)|", z, t)
     return (1 + 2 * t * pf) / den
+
+
+def _herglotz_value(h: ConformalMap, variant: str, z, t):
+    _, pf, sf = _terms(h, z, t)
+    return _field_value(variant, pf, sf, z, t)
 
 
 def herglotz_p(field: HerglotzField, z, t: float):
@@ -131,42 +154,17 @@ def family_ht(h: ConformalMap, variant: str, t: float, z):
 def family_derivatives(h: ConformalMap, variant: str, t: float, z):
     """Closed-form (d/dt, d/dz) of the chain member."""
     _check_variant(variant)
-    jet = h.jet(z + t)
-    c1 = jet.coeffs[1]
-    pf, sf, _ = derivative_ratios(jet)
-    if variant == VARIANT_PRE:
-        return -c1 * (1 + 2 * t * pf), c1 * (1 - 2 * t * pf)
-    den = 1 + t * pf
-    _guard(den, "|1 + t Ph(z+t)|", z, t)
-    den2 = den * den
-    s2 = 2 * t * t * sf
-    return -c1 * (1 - s2) / den2, c1 * (1 + s2) / den2
+    c1, pf, sf = _terms(h, z, t)
+    return _chain_derivatives(variant, c1, pf, sf, z, t)
 
 
 def pde_residual(h: ConformalMap, variant: str, z, t: float):
     """|dh_t/dt + p(z,t) dh_t/dz|; identically zero in exact arithmetic."""
     _check_variant(variant)
-    jet = h.jet(z + t)
-    c1 = jet.coeffs[1]
-    pf, sf, _ = derivative_ratios(jet)
-    if variant == VARIANT_SCHWARZIAN:
-        den = 1 + t * pf
-        _guard(den, "|1 + t Ph(z+t)|", z, t)
-        pden = 1 + 2 * t * t * sf
-        _guard(pden, "|1 + 2t^2 Sh(z+t)|", z, t)
-        den2 = den * den
-        s2 = 2 * t * t * sf
-        dt = -c1 * (1 - s2) / den2
-        dz = c1 * (1 + s2) / den2
-        p = (1 - s2) / pden
-    else:
-        pden = 1 - 2 * t * pf
-        _guard(pden, "|1 - 2t Pf(z+t)|", z, t)
-        dt = -c1 * (1 + 2 * t * pf)
-        dz = c1 * (1 - 2 * t * pf)
-        p = (1 + 2 * t * pf) / pden
-    res = np.abs(dt + p * dz) if _is_np(dt) else abs(dt + p * dz)
-    return res
+    c1, pf, sf = _terms(h, z, t)
+    dt, dz = _chain_derivatives(variant, c1, pf, sf, z, t)
+    p = _field_value(variant, pf, sf, z, t)
+    return np.abs(dt + p * dz) if _is_np(dt) else abs(dt + p * dz)
 
 
 def _require_in_h(z, where: str):

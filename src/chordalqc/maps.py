@@ -32,13 +32,14 @@ scans may be partitioned freely.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, _is_np
+from .errors import DomainError, EvaluationError
+from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite, _is_np
 
 DOMAIN_H = "H"
 DOMAIN_DISK11 = "D(1,1)"
@@ -86,13 +87,17 @@ class ConformalMap:
     name: str
     domain: str
     formula: Callable = field(repr=False)
-    description: str = ""
 
     def jet(self, z) -> Jet:
-        """Order-4 jet at an interior point (strict domain check)."""
+        """Order-4 jet at an interior point (strict domain check); raises
+        EvaluationError at the first point where the jet is not finite."""
         z = _as_point(z)
         _require_in_domain(self.domain, z, boundary_ok=False, name=self.name)
-        return self.formula(lift_variable(z))
+        try:
+            jet = self.formula(lift_variable(z))
+        except OverflowError:  # complex ** on Python scalars raises instead of giving inf
+            raise EvaluationError(f"non-finite jet coefficient at z={z!r}") from None
+        return require_finite(jet)
 
     def value(self, z):
         """Plain value; allows the closure of the domain where the formula extends."""
@@ -104,13 +109,8 @@ class ConformalMap:
         return self.value(z)
 
 
-def eval_jet(m: ConformalMap, z) -> Jet:
-    """Order-4 jet of ``m`` at ``z``."""
-    return m.jet(z)
-
-
 def identity() -> ConformalMap:
-    return ConformalMap("identity", DOMAIN_H, lambda w: w + 0.0, "z -> z")
+    return ConformalMap("identity", DOMAIN_H, lambda w: w + 0.0)
 
 
 def moebius(a, b, c, d, name: str | None = None, domain: str = DOMAIN_H) -> ConformalMap:
@@ -125,19 +125,17 @@ def moebius(a, b, c, d, name: str | None = None, domain: str = DOMAIN_H) -> Conf
         # a*w is a Jet whenever w is (even for a = 0), so / picks the right rule
         return (a * w + b) / (c * w + d)
 
-    return ConformalMap(name, domain, _formula, "(a z + b)/(c z + d)")
+    return ConformalMap(name, domain, _formula)
 
 
 def cayley() -> ConformalMap:
     """Cayley transform (1+z)/(1-z), unit disk onto H, sends 1 to infinity."""
-    m = moebius(1, 1, -1, 1, name="cayley", domain=DOMAIN_UNIT_DISK)
-    return ConformalMap(m.name, m.domain, m.formula, "(1+z)/(1-z), D onto H")
+    return moebius(1, 1, -1, 1, name="cayley", domain=DOMAIN_UNIT_DISK)
 
 
 def phi_map() -> ConformalMap:
     """z -> 2/(z+1), H onto D(1,1), with phi(1) = 1 and phi(inf) = 0."""
-    m = moebius(0, 2, 1, 1, name="phi")
-    return ConformalMap(m.name, m.domain, m.formula, "2/(z+1), H onto D(1,1)")
+    return moebius(0, 2, 1, 1, name="phi")
 
 
 def half_strip_g() -> ConformalMap:
@@ -154,9 +152,7 @@ def half_strip_g() -> ConformalMap:
         r = jrecip(w)
         return jlog(jsqrt(1 + r * r) + r)
 
-    return ConformalMap(
-        "half-strip-g", DOMAIN_H, _formula, "-log(sqrt(1+1/z^2) - 1/z), H onto a half strip"
-    )
+    return ConformalMap("half-strip-g", DOMAIN_H, _formula)
 
 
 def counterexample_f() -> ConformalMap:
@@ -169,16 +165,11 @@ def perturbed_identity(c) -> ConformalMap:
     c = complex(c)
     if abs(c) >= 1:
         raise ValueError(f"perturbed-identity needs |c| < 1, got |c| = {abs(c)}")
-    return ConformalMap(
-        f"perturbed-identity:{_fmt(c)}",
-        DOMAIN_H,
-        lambda w: w + c * jexp(-w),
-        "z + c*exp(-z)",
-    )
+    return ConformalMap(f"perturbed-identity:{_fmt(c)}", DOMAIN_H, lambda w: w + c * jexp(-w))
 
 
 def square_map() -> ConformalMap:
-    return ConformalMap("square", DOMAIN_H, lambda w: w * w, "z -> z^2")
+    return ConformalMap("square", DOMAIN_H, lambda w: w * w)
 
 
 def compose(outer: ConformalMap, inner: ConformalMap, name: str | None = None) -> ConformalMap:
@@ -192,12 +183,7 @@ def compose(outer: ConformalMap, inner: ConformalMap, name: str | None = None) -
         _require_in_domain(outer.domain, uval, boundary_ok=not is_jet, name=outer.name)
         return outer.formula(u)
 
-    return ConformalMap(
-        name or f"compose:{outer.name},{inner.name}",
-        inner.domain,
-        _formula,
-        f"{outer.name} after {inner.name}",
-    )
+    return ConformalMap(name or f"compose:{outer.name},{inner.name}", inner.domain, _formula)
 
 
 # -- spec strings ------------------------------------------------------------
@@ -234,7 +220,8 @@ def _fmt(c: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 're' or 're+imi' (also 're-imi'); no expression grammar."""
+    """Parse 're' or 're+imi' (also 're-imi'); no expression grammar.
+    NaN and infinite parts are rejected."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty number")
@@ -252,8 +239,12 @@ def parse_complex(text: str) -> complex:
             re_part, im_part = body[:split], body[split:]
             if im_part in ("+", "-"):
                 im_part += "1"
-        return complex(float(re_part), float(im_part))
-    return complex(float(s), 0.0)
+        z = complex(float(re_part), float(im_part))
+    else:
+        z = complex(float(s), 0.0)
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite number {text!r}")
+    return z
 
 
 def parse_map_spec(spec: str) -> ConformalMap:

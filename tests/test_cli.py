@@ -188,6 +188,13 @@ def test_evaluation_error_exit_one(capsys):
     assert "error" in err
 
 
+def test_nonfinite_point_exit_one(capsys):
+    assert run(["extend", "--map", "identity", "--z", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite number 'inf'" in captured.err
+
+
 def test_evaluation_error_names_map_and_point(capsys):
     assert run(["horizon", "--map", "moebius:1,0,1,-1", *FAST_GRID]) == 1
     err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from chordalqc.jets import (
     jsqrt,
     lift_variable,
 )
+from chordalqc.maps import half_strip_g, moebius
 
 from oracles import fd_derivatives, rel_err
 
@@ -233,11 +234,20 @@ def test_numpy_array_jets_match_scalar():
             assert abs(vec.coeffs[k][i] - scl.coeffs[k]) <= 1e-13 * max(1, abs(scl.coeffs[k]))
 
 
-def test_constructor_rejects_nan():
-    with pytest.raises(EvaluationError):
-        Jet(0.0, (complex("nan"), 0, 0, 0, 0))
-    with pytest.raises(EvaluationError):
-        Jet(0.0, (np.array([1.0, np.inf]), 0, 0, 0, 0))
+def test_nonfinite_points_rejected_at_entry_and_exit():
+    # points are checked where they enter a jet computation ...
+    with pytest.raises(EvaluationError, match=r"non-finite point z=\(nan\+0j\)$"):
+        lift_variable(np.array([[1.0, 2.0], [complex("nan"), np.inf]]))
+    # ... and a map's jet where it leaves, so an overflow inside the formula
+    # (here 1/z^2 in half-strip-g, whose exact value log(2/z) is finite)
+    # still surfaces there, naming the first point it reached
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match=r"coefficient at z=\(1e-200\+0j\)$"):
+            half_strip_g().jet(np.array([[0.5, 1e-200], [1e-250, 1.0]]))
+        with pytest.raises(EvaluationError, match=r"coefficient at z=\(1000000000\+0j\)$"):
+            moebius(1, 0, 0, 1e-300).jet(np.array([0.5, 1e9]))
+    with pytest.raises(EvaluationError, match=r"coefficient at z=\(1e-200\+0j\)$"):
+        half_strip_g().jet(1e-200)
 
 
 _EDGE_FLOATS = st.sampled_from(

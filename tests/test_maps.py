@@ -10,7 +10,6 @@ from chordalqc.maps import (
     cayley,
     compose,
     counterexample_f,
-    eval_jet,
     half_strip_g,
     identity,
     moebius,
@@ -168,7 +167,7 @@ def test_catalog_jets_match_fd_oracle(m):
     pts = [complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(3)]
     pts.append(0.01 + 0.5j)  # near the boundary, where conditioning is hardest
     for z0 in pts:
-        jet = eval_jet(m, z0)
+        jet = m.jet(z0)
         oracle = fd_derivatives(lambda w: m.value(w), z0, h=1e-3)
         for got, want in zip(jet.coeffs, oracle):
             assert rel_err(complex(got), want) <= 1e-6
@@ -177,7 +176,7 @@ def test_catalog_jets_match_fd_oracle(m):
 def test_local_univalence_at_samples():
     for m in catalog_on_h():
         for z in (0.5, 1 + 1j, 2 - 0.7j):
-            assert abs(complex(eval_jet(m, z).coeffs[1])) > 0
+            assert abs(complex(m.jet(z).coeffs[1])) > 0
 
 
 # -- spec parsing ----------------------------------------------------------
@@ -195,6 +194,9 @@ def test_parse_complex():
         parse_complex("")
     with pytest.raises(ValueError):
         parse_complex("abc")
+    for text in ("nan", "inf", "1+nani", "-inf-2i"):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_complex(text)
 
 
 def test_parse_map_spec_round_trips():
