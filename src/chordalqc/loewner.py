@@ -38,7 +38,7 @@ import numpy as np
 from .errors import HorizonError
 from .jets import _is_np
 from .maps import ConformalMap
-from .schwarz import StripGrid, derivative_ratios, strip_weights
+from .schwarz import StripGrid, _level_sups, derivative_ratios
 
 VARIANT_SCHWARZIAN = "schwarzian"
 VARIANT_PRE = "pre-schwarzian"
@@ -279,9 +279,8 @@ def tau0_scan(
     if not (0 < k < 1):
         raise ValueError(f"k must lie in (0,1), got {k}")
     grid = grid or StripGrid()
-    mesh, w_beta, w_sigma = strip_weights(h, grid, t_max)
-    w = w_sigma if variant == VARIANT_SCHWARZIAN else w_beta
-    level_sup = w.max(axis=1)
+    xs, ((beta, _), (sigma, _)) = _level_sups(h, grid, t_max)
+    level_sup = sigma if variant == VARIANT_SCHWARZIAN else beta
     prefix = np.maximum.accumulate(level_sup)
     ok = prefix <= k
     if not bool(ok[0]):
@@ -290,7 +289,6 @@ def tau0_scan(
             f"norm {float(prefix[0]):.6g} at smallest scanned level"
         )
     idx = int(ok.sum()) - 1
-    xs = mesh[:, 0].real.copy()
     return HorizonResult(h.name, variant, k, float(xs[idx]), xs, level_sup, grid)
 
 

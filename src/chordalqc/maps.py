@@ -26,8 +26,10 @@ The point at infinity is never an evaluation point; claims about behavior
 at infinity are checked by sampling large |z|.  Domain tags are enforced
 at evaluation points only: strictly interior for jets, closure for plain
 values (boundary anchors like g(i) stay computable even though the jet
-there is singular).  Maps are immutable and evaluation is pure, so grid
-scans may be partitioned freely.
+there is singular).  Maps are immutable and evaluation is pure, so a grid
+scan may split its points into blocks, but not into blocks of any size:
+numpy arithmetic on arrays under 2**14 complex points can differ from
+the whole mesh in the last bit (see ``schwarz.BLOCK_POINTS``).
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def identity() -> ConformalMap:
 def moebius(a, b, c, d, name: str | None = None, domain: str = DOMAIN_H) -> ConformalMap:
     """Moebius map z -> (az+b)/(cz+d); requires ad - bc != 0."""
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    if not all(cmath.isfinite(v) for v in (a, b, c, d)):
+        raise ValueError(f"non-finite moebius coefficients {(a, b, c, d)!r}")
     if a * d - b * c == 0:
         raise ValueError("degenerate moebius coefficients (ad - bc = 0)")
     if name is None:
@@ -163,6 +167,8 @@ def counterexample_f() -> ConformalMap:
 def perturbed_identity(c) -> ConformalMap:
     """z -> z + c*exp(-z) with |c| < 1 (univalent on H since Re h' >= 1-|c|)."""
     c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite perturbed-identity parameter {c!r}")
     if abs(c) >= 1:
         raise ValueError(f"perturbed-identity needs |c| < 1, got |c| = {abs(c)}")
     return ConformalMap(f"perturbed-identity:{_fmt(c)}", DOMAIN_H, lambda w: w + c * jexp(-w))

@@ -127,16 +127,58 @@ class NormProfile:
     )
 
 
+# Points per block of the streamed strip scans.  Blocks hold whole Re levels
+# and never fewer than 2**14 complex points (256 KiB) unless the whole grid is
+# smaller: from that size on numpy elides temporaries, which swaps the operands
+# of complex products such as ``g[3] * u1 ** 3``, and with FMA a complex
+# product is not bit-commutative, so a smaller block would change the bits.
+BLOCK_POINTS = 1 << 16
+
+
+def _weights(m: ConformalMap, mesh: np.ndarray):
+    """(2x)|Pf| and (2x)^2|Sf| at the points of ``mesh``."""
+    p, s, _ = derivative_ratios(m.jet(mesh))
+    two_x = 2.0 * mesh.real
+    return two_x * np.abs(p), two_x ** 2 * np.abs(s)
+
+
 def strip_weights(m: ConformalMap, grid: StripGrid, x_max: float):
     """Grid mesh plus the weighted fields (2x)|Pf| and (2x)^2|Sf| on it."""
     mesh = grid.mesh(x_max)
-    p, s, _ = derivative_ratios(m.jet(mesh))
-    two_x = 2.0 * mesh.real
-    return mesh, two_x * np.abs(p), two_x ** 2 * np.abs(s)
+    return (mesh, *_weights(m, mesh))
+
+
+def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
+    """Re levels and, per level, the max of (2x)|Pf| and of (2x)^2|Sf|, each
+    with its first maximizing grid point: ``xs, ((beta, z_beta), (sigma, z_sigma))``.
+
+    The mesh is evaluated in blocks of whole levels holding at least
+    ``BLOCK_POINTS`` points (a short tail joins the block before it), so
+    memory does not grow with the number of levels.  A NaN weight wins its
+    level, as it does in ``np.max``.
+    """
+    xs = grid.x_levels(x_max)
+    ys = grid.y_values()
+    rows = -(-BLOCK_POINTS // ys.size)  # levels per block, rounded up
+    starts = list(range(0, xs.size, rows))
+    if len(starts) > 1 and xs.size - starts[-1] < rows:
+        starts.pop()
+    sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
+    for a, b in zip(starts, starts[1:] + [xs.size]):
+        mesh = xs[a:b, None] + 1j * ys[None, :]
+        level = np.arange(b - a)
+        for w, (vals, args) in zip(_weights(m, mesh), sups):
+            col = np.argmax(w, axis=1)
+            vals[a:b] = w[level, col]
+            args[a:b] = mesh[level, col]
+    return xs, sups
 
 
 def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> NormProfile:
-    """Grid sups of beta(t), sigma(t) for each t (decreasing positives)."""
+    """Grid sups of beta(t), sigma(t) for each t (decreasing positives).
+
+    Each argmax is the first maximizing grid point in row-major order
+    (levels by increasing Re z, then Im z increasing)."""
     grid = grid or StripGrid()
     ts = [float(t) for t in t_values]
     if not ts or any(t <= 0 for t in ts):
@@ -146,19 +188,17 @@ def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> No
     if ts[-1] < grid.x_min:
         raise ValueError(f"smallest t {ts[-1]} below grid x_min {grid.x_min}")
 
-    mesh, w_beta, w_sigma = strip_weights(m, grid, ts[0])
-    xs = mesh[:, 0].real
+    xs, sups = _level_sups(m, grid, ts[0])
 
     betas, sigmas, arg_b, arg_s = [], [], [], []
     for t in ts:
         k = int(np.searchsorted(xs, t * (1 + 1e-12), side="right"))
         if k == 0:
             raise ValueError(f"no grid levels at or below t = {t}")
-        for w, vals, args in ((w_beta, betas, arg_b), (w_sigma, sigmas, arg_s)):
-            sub = w[:k]
-            ij = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            vals.append(float(sub[ij]))
-            args.append(complex(mesh[ij]))
+        for (level_max, level_arg), vals, args in zip(sups, (betas, sigmas), (arg_b, arg_s)):
+            i = int(np.argmax(level_max[:k]))
+            vals.append(float(level_max[i]))
+            args.append(complex(level_arg[i]))
     return NormProfile(
         m.name, tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s), grid
     )

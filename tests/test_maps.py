@@ -199,6 +199,18 @@ def test_parse_complex():
             parse_complex(text)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan")),
+                                 complex(-float("inf"), 0.0)])
+def test_constructors_reject_nonfinite_parameters(bad):
+    with pytest.raises(ValueError, match="non-finite perturbed-identity parameter"):
+        perturbed_identity(bad)
+    for k in range(4):
+        coeffs = [1, 0, 0, 1]
+        coeffs[k] = bad
+        with pytest.raises(ValueError, match="non-finite moebius coefficients"):
+            moebius(*coeffs)
+
+
 def test_parse_map_spec_round_trips():
     assert parse_map_spec("identity").name == "identity"
     h = parse_map_spec("perturbed-identity:0.3")

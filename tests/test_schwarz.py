@@ -1,15 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chordalqc.errors import DegenerateSampleError, DomainError
+from chordalqc import schwarz
+from chordalqc.errors import DegenerateSampleError, DomainError, EvaluationError, HorizonError
+from chordalqc.loewner import VARIANT_SCHWARZIAN, VARIANTS, tau0_scan
 from chordalqc.maps import (
     compose,
     counterexample_f,
     half_strip_g,
     identity,
     moebius,
+    parse_map_spec,
     perturbed_identity,
     phi_map,
     square_map,
@@ -167,6 +173,89 @@ def test_kraus_nehari_ceiling():
     for m in univalent:
         _, _, w_sigma = strip_weights(m, SMALL_GRID, 1.0)
         assert float(w_sigma.max()) <= 6 + 1e-9
+
+
+# -- streamed scans --------------------------------------------------------
+
+
+def _whole_mesh_profile(m, grid, ts):
+    """norm_profile's reductions taken over the whole strip_weights mesh at once."""
+    mesh, w_beta, w_sigma = strip_weights(m, grid, ts[0])
+    xs = mesh[:, 0].real
+    sups = {"beta": [], "sigma": [], "argmax_beta": [], "argmax_sigma": []}
+    for t in ts:
+        k = int(np.searchsorted(xs, t * (1 + 1e-12), side="right"))
+        for w, label in ((w_beta, "beta"), (w_sigma, "sigma")):
+            ij = np.unravel_index(int(np.argmax(w[:k])), w[:k].shape)
+            sups[label].append(float(w[ij]))
+            sups["argmax_" + label].append(complex(mesh[ij]))
+    return mesh, w_beta, w_sigma, sups
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+@st.composite
+def _streamed_grids(draw):
+    """BLOCK_POINTS >= 2**14 and a grid of 0-2 whole blocks plus a short tail of levels."""
+    block_points = draw(st.integers(2 ** 14, 2 ** 15))
+    y_count = draw(st.integers(33, 257))
+    rows = -(-block_points // y_count)
+    levels = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
+    # one decade from x_min = 0.1 to 1 holds points_per_decade + 1 levels
+    return block_points, StripGrid(x_min=0.1, points_per_decade=levels - 1, y_count=y_count)
+
+
+@pytest.mark.parametrize("spec", ["identity", "counterexample-f", "perturbed-identity:0.3",
+                                  "half-strip-g"])
+@settings(max_examples=8, deadline=None)
+@given(case=_streamed_grids(), variant=st.sampled_from(VARIANTS))
+def test_streamed_scans_match_whole_mesh_bit_for_bit(spec, case, variant):
+    block_points, grid = case
+    m = parse_map_spec(spec)
+    ts = (1.0, 0.5, 0.1)
+    mesh, w_beta, w_sigma, want = _whole_mesh_profile(m, grid, ts)
+    k = 0.5
+    level_sup = (w_sigma if variant == VARIANT_SCHWARZIAN else w_beta).max(axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schwarz, "BLOCK_POINTS", block_points)
+        prof = norm_profile(m, ts, grid=grid)
+        for label, values in want.items():
+            assert _bits(getattr(prof, label)) == _bits(values), label
+        if level_sup[0] > k:
+            with pytest.raises(HorizonError, match=f"norm {level_sup[0]:.6g} at smallest"):
+                tau0_scan(m, variant, k, grid=grid)
+            return
+        res = tau0_scan(m, variant, k, grid=grid)
+    assert _bits(res.x_levels) == _bits(mesh[:, 0].real)
+    assert _bits(res.level_sup) == _bits(level_sup)
+
+
+def test_streamed_argmax_ties_pick_first_grid_point(monkeypatch):
+    # identity has all-zero weights: every point ties, the first one wins
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 2 ** 14)
+    grid = StripGrid(points_per_decade=32)  # 129 levels of 257 points: blocks of 64 and 65 levels
+    prof = norm_profile(identity(), [1.0, 0.01], grid=grid)
+    first = complex(grid.mesh(1.0)[0, 0])
+    assert prof.argmax_beta == prof.argmax_sigma == (first, first)
+
+
+def test_streamed_scan_names_pole_in_last_block():
+    # z/(z-1) has its pole at z = 1, on the last Re level of the scan
+    with pytest.raises(EvaluationError, match=r"division by jet with zero value at z=\(1\+0j\)"):
+        tau0_scan(moebius(1, 0, 1, -1), "schwarzian", grid=StripGrid(points_per_decade=512))
+
+
+def test_streamed_scan_memory_is_bounded():
+    # a 526k-point scan; the whole mesh and its jets took about 209 MB
+    tracemalloc.start()
+    try:
+        tau0_scan(counterexample_f(), "schwarzian", 0.5, grid=StripGrid(points_per_decade=512))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 48
 
 
 # -- horodisk --------------------------------------------------------------
