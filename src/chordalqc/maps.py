@@ -29,7 +29,10 @@ values (boundary anchors like g(i) stay computable even though the jet
 there is singular).  Maps are immutable and evaluation is pure, so a grid
 scan may split its points into blocks, but not into blocks of any size:
 numpy arithmetic on arrays under 2**14 complex points can differ from
-the whole mesh in the last bit (see ``schwarz.BLOCK_POINTS``).
+the whole mesh in the last bit (see ``schwarz.BLOCK_POINTS``).  The blocks
+may run concurrently, on as many threads as the process has CPUs in its
+affinity mask, so a formula must be pure: no shared state, no side
+effects.  The scan's results and errors do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite, _is_np
+from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite
+from .jets import _first_center, _is_np
 
 DOMAIN_H = "H"
 DOMAIN_DISK11 = "D(1,1)"
@@ -57,6 +61,7 @@ def _as_point(z):
 
 
 def _domain_violation(domain: str, z, boundary_ok: bool):
+    """Mask of the points of ``z`` outside ``domain`` (a bool for a scalar)."""
     slack = _BOUNDARY_SLACK if boundary_ok else 0.0
     if _is_np(z):
         re, im = np.real(z), np.imag(z)
@@ -72,14 +77,17 @@ def _domain_violation(domain: str, z, boundary_ok: bool):
         bad = r2 > (1 + slack) ** 2 if boundary_ok else r2 >= 1
     else:
         raise ValueError(f"unknown domain tag {domain!r}")
-    if _is_np(bad):
-        return bool(np.any(bad))
-    return bool(bad)
+    return bad
 
 
-def _require_in_domain(domain: str, z, boundary_ok: bool, name: str):
-    if _domain_violation(domain, z, boundary_ok):
-        raise DomainError(f"point outside domain {domain} of map {name!r}")
+def _require_in_domain(domain: str, z, boundary_ok: bool, name: str, at=None):
+    """Raise DomainError if a point of ``z`` lies outside ``domain``, naming the
+    first such point, or the point of ``at`` in its place (the evaluation
+    point, when ``z`` holds an inner map's values)."""
+    bad = _domain_violation(domain, z, boundary_ok)
+    if np.any(bad) if _is_np(bad) else bad:
+        where = _first_center(bad, z if at is None else at)
+        raise DomainError(f"point outside domain {domain} of map {name!r} at z={where!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +193,8 @@ def compose(outer: ConformalMap, inner: ConformalMap, name: str | None = None) -
     def _formula(w):
         u = inner.formula(w)
         is_jet = isinstance(u, Jet)
-        uval = u.value if is_jet else u
-        _require_in_domain(outer.domain, uval, boundary_ok=not is_jet, name=outer.name)
+        uval, at = (u.value, u.center) if is_jet else (u, w)
+        _require_in_domain(outer.domain, uval, boundary_ok=not is_jet, name=outer.name, at=at)
         return outer.formula(u)
 
     return ConformalMap(name or f"compose:{outer.name},{inner.name}", inner.domain, _formula)

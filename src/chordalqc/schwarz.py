@@ -23,6 +23,7 @@ inherent and documented rather than hidden.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,18 @@ class StripGrid:
     points_per_decade: int = 64
     y_max: float = 20.0
     y_count: int = 257
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x_min) and self.x_min > 0):
+            raise ValueError(f"grid x_min must be finite and positive, got {self.x_min}")
+        if not (math.isfinite(self.y_max) and self.y_max >= 0):
+            raise ValueError(f"grid y_max must be finite and nonnegative, got {self.y_max}")
+        if self.y_count < 1:
+            raise ValueError(f"grid y_count must be at least 1, got {self.y_count}")
+        if self.points_per_decade < 0:
+            raise ValueError(
+                f"grid points_per_decade must be nonnegative, got {self.points_per_decade}"
+            )
 
     def x_levels(self, x_max: float) -> np.ndarray:
         if x_max < self.x_min:
@@ -132,7 +145,8 @@ class NormProfile:
 # smaller: from that size on numpy elides temporaries, which swaps the operands
 # of complex products such as ``g[3] * u1 ** 3``, and with FMA a complex
 # product is not bit-commutative, so a smaller block would change the bits.
-BLOCK_POINTS = 1 << 16
+# The smallest such size keeps the blocks in flight on several threads small.
+BLOCK_POINTS = 1 << 14
 
 
 def _weights(m: ConformalMap, mesh: np.ndarray):
@@ -148,14 +162,67 @@ def strip_weights(m: ConformalMap, grid: StripGrid, x_max: float):
     return (mesh, *_weights(m, mesh))
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(run, blocks: list, workers: int):
+    """``run(block)`` for every block on ``workers`` threads, this one among them
+    (one worker is a serial loop and starts no thread).
+
+    Blocks are handed out in order and no block starts after one has failed,
+    so every block before a failing one has run: the exception raised is the
+    one of the lowest-numbered failing block, as in a serial loop.
+    """
+    import threading
+
+    lock = threading.Lock()
+    failed = {}  # block index -> exception
+    next_block = 0
+    stop = False
+
+    def work():
+        nonlocal next_block
+        while True:
+            with lock:
+                if stop or failed or next_block == len(blocks):
+                    return
+                i = next_block
+                next_block += 1
+            try:
+                run(blocks[i])
+            except BaseException as exc:  # handed to the calling thread, which raises it
+                with lock:
+                    failed[i] = exc
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        stop = True
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     """Re levels and, per level, the max of (2x)|Pf| and of (2x)^2|Sf|, each
     with its first maximizing grid point: ``xs, ((beta, z_beta), (sigma, z_sigma))``.
 
     The mesh is evaluated in blocks of whole levels holding at least
     ``BLOCK_POINTS`` points (a short tail joins the block before it), so
-    memory does not grow with the number of levels.  A NaN weight wins its
-    level, as it does in ``np.max``.
+    memory does not grow with the number of levels.  Blocks run concurrently
+    on up to one thread per CPU of the process; each writes only its own
+    levels, so the result does not depend on the thread count.  A NaN weight
+    wins its level, as it does in ``np.max``.
     """
     xs = grid.x_levels(x_max)
     ys = grid.y_values()
@@ -163,14 +230,19 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     starts = list(range(0, xs.size, rows))
     if len(starts) > 1 and xs.size - starts[-1] < rows:
         starts.pop()
+    blocks = list(zip(starts, starts[1:] + [xs.size]))
     sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
-    for a, b in zip(starts, starts[1:] + [xs.size]):
+
+    def run(block):
+        a, b = block
         mesh = xs[a:b, None] + 1j * ys[None, :]
         level = np.arange(b - a)
         for w, (vals, args) in zip(_weights(m, mesh), sups):
             col = np.argmax(w, axis=1)
             vals[a:b] = w[level, col]
             args[a:b] = mesh[level, col]
+
+    _run_blocks(run, blocks, workers=min(_cpu_count(), len(blocks)))
     return xs, sups
 
 

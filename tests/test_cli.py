@@ -195,6 +195,29 @@ def test_nonfinite_point_exit_one(capsys):
     assert "non-finite number 'inf'" in captured.err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--y-count", "0", "y_count"),
+    ("--x-min", "0", "x_min"),
+    ("--x-min", "-1", "x_min"),
+    ("--x-min", "nan", "x_min"),
+    ("--y-max", "-1", "y_max"),
+    ("--y-max", "inf", "y_max"),
+    ("--points-per-decade", "-1", "points_per_decade"),
+])
+def test_bad_grid_exit_one_naming_field(capsys, flag, value, field):
+    assert run(["horizon", "--map", "counterexample-f", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chordalqc: error: grid {field} must be")
+
+
+def test_domain_error_names_map_and_point(capsys):
+    # the first grid point, Re z = 1e-4 and Im z = -10, lies outside the unit disk
+    assert run(["horizon", "--map", "cayley", *FAST_GRID]) == 1
+    err = capsys.readouterr().err
+    assert "outside domain D of map 'cayley' at z=(0.0001-10j)" in err
+
+
 def test_evaluation_error_names_map_and_point(capsys):
     assert run(["horizon", "--map", "moebius:1,0,1,-1", *FAST_GRID]) == 1
     err = capsys.readouterr().err

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,8 @@ from chordalqc import schwarz
 from chordalqc.errors import DegenerateSampleError, DomainError, EvaluationError, HorizonError
 from chordalqc.loewner import VARIANT_SCHWARZIAN, VARIANTS, tau0_scan
 from chordalqc.maps import (
+    DOMAIN_H,
+    ConformalMap,
     compose,
     counterexample_f,
     half_strip_g,
@@ -218,18 +223,27 @@ def test_streamed_scans_match_whole_mesh_bit_for_bit(spec, case, variant):
     mesh, w_beta, w_sigma, want = _whole_mesh_profile(m, grid, ts)
     k = 0.5
     level_sup = (w_sigma if variant == VARIANT_SCHWARZIAN else w_beta).max(axis=1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schwarz, "BLOCK_POINTS", block_points)
-        prof = norm_profile(m, ts, grid=grid)
-        for label, values in want.items():
-            assert _bits(getattr(prof, label)) == _bits(values), label
-        if level_sup[0] > k:
-            with pytest.raises(HorizonError, match=f"norm {level_sup[0]:.6g} at smallest"):
-                tau0_scan(m, variant, k, grid=grid)
-            return
-        res = tau0_scan(m, variant, k, grid=grid)
-    assert _bits(res.x_levels) == _bits(mesh[:, 0].real)
-    assert _bits(res.level_sup) == _bits(level_sup)
+    # one worker runs the serial loop; three threads, more than most runners have
+    # CPUs, with frequent thread switches, interleave the blocks' writes
+    switch_interval = sys.getswitchinterval()
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schwarz, "BLOCK_POINTS", block_points)
+            mp.setattr(schwarz, "_cpu_count", lambda: workers)
+            sys.setswitchinterval(1e-5)
+            try:
+                prof = norm_profile(m, ts, grid=grid)
+                for label, values in want.items():
+                    assert _bits(getattr(prof, label)) == _bits(values), label
+                if level_sup[0] > k:
+                    with pytest.raises(HorizonError, match=f"norm {level_sup[0]:.6g} at smallest"):
+                        tau0_scan(m, variant, k, grid=grid)
+                    continue
+                res = tau0_scan(m, variant, k, grid=grid)
+            finally:
+                sys.setswitchinterval(switch_interval)
+        assert _bits(res.x_levels) == _bits(mesh[:, 0].real)
+        assert _bits(res.level_sup) == _bits(level_sup)
 
 
 def test_streamed_argmax_ties_pick_first_grid_point(monkeypatch):
@@ -245,6 +259,52 @@ def test_streamed_scan_names_pole_in_last_block():
     # z/(z-1) has its pole at z = 1, on the last Re level of the scan
     with pytest.raises(EvaluationError, match=r"division by jet with zero value at z=\(1\+0j\)"):
         tau0_scan(moebius(1, 0, 1, -1), "schwarzian", grid=StripGrid(points_per_decade=512))
+
+
+def _two_thread_scan(monkeypatch, formula):
+    """_level_sups over SMALL_GRID in 16 blocks on 2 threads with a fabricated map."""
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 4 * SMALL_GRID.y_count)
+    return schwarz._level_sups(ConformalMap("fake", DOMAIN_H, formula), SMALL_GRID, 1.0)
+
+
+def test_concurrent_scan_raises_error_of_first_failing_block(monkeypatch):
+    # block 0 fails after a later block has failed; the scan names block 0, as a
+    # serial scan does
+    first_level = SMALL_GRID.x_levels(1.0)[0]
+    later_failed = threading.Event()
+
+    def formula(w):
+        if w.center.real.min() != first_level:
+            later_failed.set()
+            raise EvaluationError("failure in a later block")
+        assert later_failed.wait(timeout=30)
+        raise EvaluationError("failure in block 0")
+
+    with pytest.raises(EvaluationError, match="^failure in block 0$"):
+        _two_thread_scan(monkeypatch, formula)
+
+
+def test_concurrent_scan_starts_no_block_after_a_failure(monkeypatch):
+    # while the calling thread evaluates a block, the helper thread's block fails;
+    # the calling thread's block then succeeds, and no other block starts
+    main_started, helper_failed = threading.Event(), threading.Event()
+    started = []
+
+    def formula(w):
+        started.append(w.center)
+        if threading.current_thread() is not threading.main_thread():
+            assert main_started.wait(timeout=30)
+            helper_failed.set()
+            raise EvaluationError("failure on the helper thread")
+        main_started.set()
+        assert helper_failed.wait(timeout=30)
+        time.sleep(0.05)  # lets the scan record the helper's failure
+        return w
+
+    with pytest.raises(EvaluationError, match="^failure on the helper thread$"):
+        _two_thread_scan(monkeypatch, formula)
+    assert len(started) == 2
 
 
 def test_streamed_scan_memory_is_bounded():
