@@ -31,8 +31,9 @@ scan may split its points into blocks, but not into blocks of any size:
 numpy arithmetic on arrays under 2**14 complex points can differ from
 the whole mesh in the last bit (see ``schwarz.BLOCK_POINTS``).  The blocks
 may run concurrently, on as many threads as the process has CPUs in its
-affinity mask, so a formula must be pure: no shared state, no side
-effects.  The scan's results and errors do not depend on the thread count.
+affinity mask up to ``schwarz.MAX_WORKERS``, so a formula must be pure: no
+shared state, no side effects.  The scan's results and errors do not depend
+on the thread count.
 """
 
 from __future__ import annotations

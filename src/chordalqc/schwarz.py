@@ -148,6 +148,12 @@ class NormProfile:
 # The smallest such size keeps the blocks in flight on several threads small.
 BLOCK_POINTS = 1 << 14
 
+# Most threads a strip scan runs its blocks on.  Each block in flight holds
+# about 6.6 MB of arrays, and two threads reach only about 1.6x because each
+# jet call holds the interpreter lock for part of its time; more threads were
+# not measured, so the cap keeps a scan's memory independent of the CPU count.
+MAX_WORKERS = 2
+
 
 def _weights(m: ConformalMap, mesh: np.ndarray):
     """(2x)|Pf| and (2x)^2|Sf| at the points of ``mesh``."""
@@ -220,8 +226,8 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     The mesh is evaluated in blocks of whole levels holding at least
     ``BLOCK_POINTS`` points (a short tail joins the block before it), so
     memory does not grow with the number of levels.  Blocks run concurrently
-    on up to one thread per CPU of the process; each writes only its own
-    levels, so the result does not depend on the thread count.  A NaN weight
+    on one thread per CPU of the process, at most ``MAX_WORKERS``; each writes
+    only its own levels, so the result does not depend on the thread count.  A NaN weight
     wins its level, as it does in ``np.max``.
     """
     xs = grid.x_levels(x_max)
@@ -242,7 +248,7 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
             vals[a:b] = w[level, col]
             args[a:b] = mesh[level, col]
 
-    _run_blocks(run, blocks, workers=min(_cpu_count(), len(blocks)))
+    _run_blocks(run, blocks, workers=min(_cpu_count(), MAX_WORKERS, len(blocks)))
     return xs, sups
 
 

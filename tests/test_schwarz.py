@@ -230,6 +230,7 @@ def test_streamed_scans_match_whole_mesh_bit_for_bit(spec, case, variant):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(schwarz, "BLOCK_POINTS", block_points)
             mp.setattr(schwarz, "_cpu_count", lambda: workers)
+            mp.setattr(schwarz, "MAX_WORKERS", workers)
             sys.setswitchinterval(1e-5)
             try:
                 prof = norm_profile(m, ts, grid=grid)
@@ -288,18 +289,22 @@ def test_concurrent_scan_raises_error_of_first_failing_block(monkeypatch):
 def test_concurrent_scan_starts_no_block_after_a_failure(monkeypatch):
     # while the calling thread evaluates a block, the helper thread's block fails;
     # the calling thread's block then succeeds, and no other block starts
-    main_started, helper_failed = threading.Event(), threading.Event()
-    started = []
+    caller = threading.current_thread()
+    main_started = threading.Event()
+    helpers, started = [], []
 
     def formula(w):
         started.append(w.center)
-        if threading.current_thread() is not threading.main_thread():
+        if threading.current_thread() is not caller:
+            helpers.append(threading.current_thread())
             assert main_started.wait(timeout=30)
-            helper_failed.set()
             raise EvaluationError("failure on the helper thread")
         main_started.set()
-        assert helper_failed.wait(timeout=30)
-        time.sleep(0.05)  # lets the scan record the helper's failure
+        # the helper thread ends only after the scan has recorded its failure
+        while not helpers:
+            time.sleep(0.001)
+        helpers[0].join(timeout=30)
+        assert not helpers[0].is_alive()
         return w
 
     with pytest.raises(EvaluationError, match="^failure on the helper thread$"):
@@ -307,15 +312,25 @@ def test_concurrent_scan_starts_no_block_after_a_failure(monkeypatch):
     assert len(started) == 2
 
 
-def test_streamed_scan_memory_is_bounded():
-    # a 526k-point scan; the whole mesh and its jets took about 209 MB
+def _scan_peak_mb():
+    """tracemalloc peak, in MB, of a 526k-point scan over about 32 blocks."""
     tracemalloc.start()
     try:
         tau0_scan(counterexample_f(), "schwarzian", 0.5, grid=StripGrid(points_per_decade=512))
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak_mb < 48
+
+
+def test_streamed_scan_memory_is_bounded():
+    # a 526k-point scan; the whole mesh and its jets took about 209 MB
+    assert _scan_peak_mb() < 48
+
+
+def test_streamed_scan_memory_does_not_grow_with_cpu_count(monkeypatch):
+    # each block in flight holds about 6.6 MB: 64 threads would hold over 400 MB
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: 64)
+    assert _scan_peak_mb() < 48
 
 
 # -- horodisk --------------------------------------------------------------
