@@ -11,7 +11,7 @@ from .errors import (
     HorizonError,
     QuadratureError,
 )
-from .jets import Jet, jet_compose, jet_constant, jet_div, jet_elementary, jet_mul, lift_variable
+from .jets import Jet, jet_constant, jet_div, jet_mul, lift_variable
 from .maps import (
     ConformalMap,
     cayley,
@@ -29,7 +29,6 @@ from .maps import (
 from .schwarz import (
     NormProfile,
     StripGrid,
-    horodisk_ratio,
     norm_profile,
     pre_schwarzian,
     schwarzian,
@@ -43,8 +42,6 @@ from .loewner import (
     evolve_trace,
     family_derivatives,
     family_ht,
-    herglotz_p,
-    make_field,
     pde_residual,
     tau0_scan,
 )
@@ -68,7 +65,6 @@ from .carleson import (
     composite_mu_tilde,
     mu_density,
     vmoa_density,
-    weighted_sup_scan,
 )
 
 __version__ = "0.1.0"

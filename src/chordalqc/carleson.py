@@ -32,7 +32,7 @@ from .errors import EvaluationError, QuadratureError
 from .extension import mu_formula
 from .loewner import VARIANT_SCHWARZIAN, _check_variant
 from .maps import ConformalMap
-from .schwarz import StripGrid, derivative_ratios
+from .schwarz import derivative_ratios
 
 DEFAULT_SCALES = tuple(2.0 ** (-j) for j in range(11))
 DEFAULT_POSITIONS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
@@ -315,25 +315,3 @@ def bigbox_decomposition(
         outer_term = 0.0
     return BigBoxSplit(length, center_y, total, inner_term, outer_term)
 
-
-def weighted_sup_scan(psi, alpha: float, grid: StripGrid | None = None,
-                      x_max: float = 1.0, dpsi=None):
-    """Grid sups (sup |psi| x^alpha, sup |psi'| x^(alpha+1)).
-
-    ``psi`` must accept numpy point arrays; when ``dpsi`` is omitted the
-    derivative is taken by Richardson-extrapolated central differences.
-    """
-    grid = grid or StripGrid()
-    mesh = grid.mesh(x_max)
-    x = mesh.real
-    vals = np.asarray(psi(mesh))
-    if dpsi is not None:
-        dvals = np.asarray(dpsi(mesh))
-    else:
-        hstep = 1e-4
-        d1 = (psi(mesh + hstep) - psi(mesh - hstep)) / (2 * hstep)
-        d2 = (psi(mesh + hstep / 2) - psi(mesh - hstep / 2)) / hstep
-        dvals = np.asarray((4.0 * d2 - d1) / 3.0)
-    s1 = float(np.max(np.abs(vals) * x ** alpha))
-    s2 = float(np.max(np.abs(dvals) * x ** (alpha + 1)))
-    return s1, s2

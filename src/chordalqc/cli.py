@@ -401,6 +401,8 @@ def _cmd_evolve(ns) -> int:
 
 
 def _cmd_pde_check(ns) -> int:
+    if ns.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {ns.samples}")
     m = parse_map_spec(ns.map)
     field = _field_for(ns, m)
     rng = np.random.default_rng(ns.seed)
@@ -437,8 +439,8 @@ def _cmd_extend(ns) -> int:
 def _cmd_verify_mu(ns) -> int:
     m = parse_map_spec(ns.map)
     report = ext_mod.qc_report(
-        m, ns.variant, k=ns.k, fd_step=ns.fd_step, fd_tolerance=ns.fd_tol,
-        grid=_grid_from(ns), nx=ns.nx, ny=ns.ny, tau=ns.tau,
+        m, ns.variant, _horizon_for(ns, m), k=ns.k, fd_step=ns.fd_step,
+        fd_tolerance=ns.fd_tol, grid=_grid_from(ns), nx=ns.nx, ny=ns.ny,
     )
     doc = report.to_json_dict(include_samples=False) if ns.summary_only else report
     _atomic_write(_json_doc(doc), ns.out)

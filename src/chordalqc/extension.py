@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, EvaluationError, HorizonError
 from .jets import _is_np
-from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht, tau0_scan
+from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht
 from .maps import ConformalMap
 from .schwarz import StripGrid, derivative_ratios
 
@@ -140,6 +140,9 @@ def mirror_strip_points(
 ) -> np.ndarray:
     """Sample points of the strip -tau < Re z < 0, mirrored from the norm
     grid, pulled in by two FD steps so stencils stay inside the strip."""
+    for name, count in (("nx", nx), ("ny", ny)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     grid = grid or StripGrid()
     x_hi = tau - 2 * fd_step
     if x_hi <= grid.x_min:
@@ -148,7 +151,7 @@ def mirror_strip_points(
         xs = grid.x_levels(x_hi)
     else:
         xs = np.logspace(np.log10(grid.x_min), np.log10(x_hi), nx)
-    ys = np.linspace(-grid.y_max, grid.y_max, ny or grid.y_count)
+    ys = np.linspace(-grid.y_max, grid.y_max, grid.y_count if ny is None else ny)
     return -xs[:, None] + 1j * ys[None, :]
 
 
@@ -163,7 +166,6 @@ class QCReport:
     fd_step: float
     fd_tolerance: float
     points: np.ndarray
-    values: np.ndarray
     d_z: np.ndarray
     d_zbar: np.ndarray
     mu_fd: np.ndarray
@@ -244,15 +246,16 @@ class QCReport:
 def qc_report(
     h: ConformalMap,
     variant: str,
+    tau: float,
     k: float = 0.5,
     fd_step: float = DEFAULT_FD_STEP,
     fd_tolerance: float = DEFAULT_FD_TOL,
     grid: StripGrid | None = None,
     nx: int | None = None,
     ny: int | None = None,
-    tau: float | None = None,
 ) -> QCReport:
-    """Verify the dilatation identity and bound over the reflected strip.
+    """Verify the dilatation identity and bound over the reflected strip
+    -tau < Re z < 0.
 
     PASS requires max |mu_formula| <= k/2 (schwarzian) or <= k
     (pre-schwarzian) plus the FD/formula identity at every accepted
@@ -260,8 +263,6 @@ def qc_report(
     and counted separately.
     """
     _check_variant(variant)
-    if tau is None:
-        tau = tau0_scan(h, variant, k, grid=grid).t_star
     pts = mirror_strip_points(tau, fd_step=fd_step, grid=grid, nx=nx, ny=ny)
     failures = []
 
@@ -269,14 +270,13 @@ def qc_report(
         return extend(h, variant, w, tau=tau)
 
     try:
-        values = F(pts)
         d_z, d_zbar = _wirtinger_pair(F, pts, fd_step)
         mu_form = mu_formula(h, variant, pts)
     except (EvaluationError, HorizonError) as exc:  # pragma: no cover - guard rail
         failures.append(str(exc))
         empty = np.zeros((0, 0), dtype=complex)
         return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, empty, empty,
-                        empty, empty, empty, empty, np.zeros((0, 0), dtype=bool),
+                        empty, empty, empty, np.zeros((0, 0), dtype=bool),
                         tuple(failures))
 
     floor = 100 * np.finfo(float).eps / fd_step
@@ -285,6 +285,6 @@ def qc_report(
         mu_fd = np.where(degenerate, 0.0, d_zbar / np.where(degenerate, 1.0, d_z))
     return QCReport(
         h.name, variant, k, tau, fd_step, fd_tolerance,
-        pts, np.asarray(values), d_z, d_zbar, mu_fd, np.asarray(mu_form),
+        pts, d_z, d_zbar, mu_fd, np.asarray(mu_form),
         degenerate, tuple(failures),
     )

@@ -2,7 +2,7 @@
 
 A :class:`Jet` carries the value and the first four derivatives of an
 analytic function at a point.  Sums, products, quotients, the elementary
-functions exp/log/sqrt/recip/pow, and composition propagate derivatives
+functions exp/log/sqrt/recip, and composition propagate derivatives
 exactly (Leibniz rule, quotient recursion, Faa di Bruno through order 4),
 so code built on top of this module never needs finite differencing or a
 symbolic engine to obtain f', f'', f''', f''''.
@@ -16,7 +16,7 @@ mpmath complex numbers give high-precision evaluation for oracle-grade
 finite differencing.  All operations dispatch on the type of the values
 they see, so a formula written once works on every carrier.
 
-Principal branches are used everywhere.  Jets of log/sqrt/pow reject a
+Principal branches are used everywhere.  Jets of log/sqrt reject a
 value on the cut (-inf, 0] because the derivative coefficients are
 singular or side-dependent there; the scalar helpers are more permissive
 so that boundary values of maps can still be computed.
@@ -155,10 +155,6 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    def derivative(self, k: int):
-        """k-th derivative of the represented function at the center."""
-        return self.coeffs[k]
-
     def __repr__(self):
         return f"Jet(center={self.center!r}, coeffs={self.coeffs!r})"
 
@@ -277,13 +273,6 @@ def _compose_derivs(g, u):
     return (r0, r1, r2, r3, r4)
 
 
-def jet_compose(outer: Jet, inner: Jet) -> Jet:
-    """Jet of the composition, where ``outer`` is expanded at ``inner.value``."""
-    if not _same_value(outer.center, inner.value):
-        raise EvaluationError("outer jet must be centered at the inner jet's value")
-    return Jet(inner.center, _compose_derivs(outer.coeffs, inner.coeffs))
-
-
 # -- elementary functions ----------------------------------------------------
 #
 # Each helper accepts either a Jet (returning the jet of fn(a) through the
@@ -334,37 +323,3 @@ def jrecip(a):
     g = (r, -(r ** 2), 2 * r ** 3, -6 * r ** 4, 24 * r ** 5)
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 
-
-def jpow(a, alpha: float):
-    """Principal-branch power a**alpha for real alpha."""
-    if not isinstance(a, Jet):
-        if _any_zero(a):
-            raise EvaluationError("pow of zero base")
-        return _exp(alpha * _log(a))
-    v = a.value
-    if _on_cut(v):
-        raise BranchCutError(f"pow jet on branch cut (-inf, 0]: value {v!r}")
-    p = _exp(alpha * _log(v))
-    g = (
-        p,
-        alpha * p / v,
-        alpha * (alpha - 1) * p / v ** 2,
-        alpha * (alpha - 1) * (alpha - 2) * p / v ** 3,
-        alpha * (alpha - 1) * (alpha - 2) * (alpha - 3) * p / v ** 4,
-    )
-    return Jet(a.center, _compose_derivs(g, a.coeffs))
-
-
-_ELEMENTARY = {"exp": jexp, "log": jlog, "sqrt": jsqrt, "recip": jrecip}
-
-
-def jet_elementary(fn: str, a, alpha: float | None = None):
-    """Apply a named elementary function (exp, log, sqrt, recip, pow)."""
-    if fn == "pow":
-        if alpha is None:
-            raise ValueError("pow needs the real exponent alpha")
-        return jpow(a, alpha)
-    try:
-        return _ELEMENTARY[fn](a)
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None

@@ -67,8 +67,8 @@ def _guard(den, what: str, z, t):
 class HerglotzField:
     """Time-dependent holomorphic field p(z,t) of one chain variant.
 
-    ``tau0`` is the certified validity horizon; use :func:`make_field`
-    to obtain it from a horizon scan.
+    ``tau0`` is the certified validity horizon, as :func:`tau0_scan`
+    finds it.
     """
 
     base_map: ConformalMap
@@ -94,7 +94,8 @@ class HerglotzField:
         return (1.0 - self.k) / (1.0 + self.k)
 
     def p(self, z, t: float):
-        return _herglotz_value(self.base_map, self.variant, z, t)
+        _, pf, sf = _terms(self.base_map, z, t)
+        return _field_value(self.variant, pf, sf, z, t)
 
 
 def _terms(h: ConformalMap, z, t):
@@ -124,18 +125,6 @@ def _field_value(variant: str, pf, sf, z, t):
     den = 1 - 2 * t * pf
     _guard(den, "|1 - 2t Pf(z+t)|", z, t)
     return (1 + 2 * t * pf) / den
-
-
-def _herglotz_value(h: ConformalMap, variant: str, z, t):
-    _, pf, sf = _terms(h, z, t)
-    return _field_value(variant, pf, sf, z, t)
-
-
-def herglotz_p(field: HerglotzField, z, t: float):
-    """Field value p(z,t); requires 0 <= t <= tau0."""
-    if not (0 <= t <= field.tau0 + 1e-12):
-        raise HorizonError(f"t={t} outside [0, tau0={field.tau0}]")
-    return _herglotz_value(field.base_map, field.variant, z, t)
 
 
 def family_ht(h: ConformalMap, variant: str, t: float, z):
@@ -291,14 +280,3 @@ def tau0_scan(
     idx = int(ok.sum()) - 1
     return HorizonResult(h.name, variant, k, float(xs[idx]), xs, level_sup, grid)
 
-
-def make_field(
-    h: ConformalMap,
-    variant: str,
-    k: float = 0.5,
-    grid: StripGrid | None = None,
-    t_max: float = 1.0,
-) -> HerglotzField:
-    """HerglotzField with its horizon certified by :func:`tau0_scan`."""
-    res = tau0_scan(h, variant, k, grid=grid, t_max=t_max)
-    return HerglotzField(h, variant, k, res.t_star)

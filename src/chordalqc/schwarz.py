@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError
+from .errors import DegenerateSampleError
 from .jets import Jet, _any_zero
 from .maps import ConformalMap
 
@@ -281,19 +281,3 @@ def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> No
         m.name, tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s), grid
     )
 
-
-def horodisk_ratio(z, a: float):
-    """Ratio d(z, dD)/Re z on D(1,1) and membership in the horodisk D_a.
-
-    D_a = {|z - a/(a+1)| < a/(a+1)} is internally tangent to D(1,1) at 0;
-    outside it the ratio is at most 1/a.
-    """
-    z = complex(z)
-    if abs(z - 1) >= 1:
-        raise DomainError(f"{z} outside D(1,1)")
-    if a <= 1:
-        raise ValueError("horodisk parameter a must exceed 1")
-    d = 1.0 - abs(z - 1)
-    ratio = d / z.real
-    center = a / (a + 1.0)
-    return ratio, bool(abs(z - center) < center)

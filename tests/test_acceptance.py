@@ -107,7 +107,9 @@ def test_criterion_mu_identity(num, variant):
 
 
 def test_criterion_3_qc_bound():
-    rep = qc_report(perturbed_identity(0.3), "schwarzian", k=0.5, grid=GRID)
+    h = perturbed_identity(0.3)
+    tau = tau0_scan(h, "schwarzian", 0.5, grid=GRID).t_star
+    rep = qc_report(h, "schwarzian", tau, k=0.5, grid=GRID)
     ok = rep.passed and rep.max_mu_formula <= 0.25 + 1e-9
     _report(3, "qc-bound", ok,
             f"tau={rep.tau:.4f}, max|mu|={rep.max_mu_formula:.6f} <= 0.25")

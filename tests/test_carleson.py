@@ -12,7 +12,6 @@ from chordalqc.carleson import (
     composite_mu_tilde,
     mu_density,
     vmoa_density,
-    weighted_sup_scan,
 )
 from chordalqc.errors import EvaluationError, QuadratureError
 from chordalqc.extension import mu_formula
@@ -184,33 +183,6 @@ def test_bigbox_with_constant_outer():
     want = c ** 2 * math.log(1.0 / 0.25) / 2
     assert abs(split.outer_term - want) <= 1e-8
     assert split.defect <= 1e-9
-
-
-def test_weighted_sup_scan_examples():
-    zero = weighted_sup_scan(lambda z: np.zeros(np.shape(z), complex), 1.0, grid=SMALL_GRID)
-    assert zero == (0.0, 0.0)
-    s1, s2 = weighted_sup_scan(lambda z: np.exp(-z), 1.0, grid=SMALL_GRID, x_max=1.0,
-                               dpsi=lambda z: -np.exp(-z))
-    assert abs(s1 - math.exp(-1)) <= 1e-12
-    assert abs(s2 - math.exp(-1)) <= 1e-12
-    # finite-difference fallback agrees
-    s1fd, s2fd = weighted_sup_scan(lambda z: np.exp(-z), 1.0, grid=SMALL_GRID, x_max=1.0)
-    assert abs(s2fd - s2) <= 1e-7
-
-
-def test_weighted_sup_scan_pre_schwarzian_comparable():
-    h = perturbed_identity(0.3)
-
-    def ph(z):
-        return derivative_ratios(h.jet(z))[0]
-
-    def dph(z):
-        p, s, _ = derivative_ratios(h.jet(z))
-        return s + p * p / 2  # (Pf)' = Sf + Pf^2/2
-
-    s1, s2 = weighted_sup_scan(ph, 1.0, grid=SMALL_GRID, x_max=1.0, dpsi=dph)
-    assert s1 > 0 and s2 > 0
-    assert 1 / 64 <= s2 / s1 <= 64
 
 
 def test_density_validates_side():

@@ -223,3 +223,28 @@ def test_evaluation_error_names_map_and_point(capsys):
     err = capsys.readouterr().err
     assert "moebius:1,0,1,-1" in err
     assert "z=(1+0j)" in err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["verify-mu", "--map", "square", "--tau", "0.3", "--nx", "0", "--summary-only"], "nx"),
+    (["verify-mu", "--map", "square", "--tau", "0.3", "--ny", "0", "--summary-only"], "ny"),
+    (["trace-check", "--map", "square", "--tau", "0.3", "--nx", "0"], "nx"),
+    (["pde-check", "--map", "identity", "--samples", "0"], "--samples"),
+], ids=["verify-mu-nx", "verify-mu-ny", "trace-check-nx", "pde-check-samples"])
+def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chordalqc: error: {name} must be at least 1, got 0\n"
+
+
+def test_verify_mu_horizon_is_the_horizon_command_t_star(capsys):
+    base = ["--map", "perturbed-identity:0.3", *FAST_GRID]
+    assert run(["horizon", *base]) == 0
+    t_star = json.loads(capsys.readouterr().out)["t_star"]
+    verify = ["verify-mu", *base, "--nx", "5", "--ny", "5", "--summary-only"]
+    assert run(verify) == 0
+    scanned = capsys.readouterr().out
+    assert run([*verify, "--tau", repr(t_star)]) == 0
+    assert capsys.readouterr().out == scanned
+    assert json.loads(scanned)["tau"] == t_star

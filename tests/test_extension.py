@@ -30,6 +30,10 @@ from chordalqc.schwarz import StripGrid
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
 
 
+def _small_tau(h, variant):
+    return tau0_scan(h, variant, 0.5, grid=SMALL_GRID).t_star
+
+
 # -- the extension map ---------------------------------------------------------
 
 
@@ -173,7 +177,8 @@ def test_moebius_extension_is_holomorphic_in_strip():
         _, d_zbar, _ = wirtinger_mu(lambda w: extend(m, "schwarzian", w), z, 1e-5)
         assert abs(d_zbar) <= 1e-8
     # same statement over a whole report grid
-    rep = qc_report(m, "schwarzian", k=0.5, grid=SMALL_GRID, nx=9, ny=9)
+    rep = qc_report(m, "schwarzian", _small_tau(m, "schwarzian"), k=0.5, grid=SMALL_GRID,
+                    nx=9, ny=9)
     assert rep.passed
     assert float(np.abs(rep.d_zbar).max()) <= 1e-8
 
@@ -192,14 +197,16 @@ def test_boundary_continuity():
 
 
 def test_qc_report_identity_passes_with_zero_mu():
-    rep = qc_report(identity(), "schwarzian", k=0.5, grid=SMALL_GRID, nx=9, ny=9)
+    rep = qc_report(identity(), "schwarzian", _small_tau(identity(), "schwarzian"), k=0.5,
+                    grid=SMALL_GRID, nx=9, ny=9)
     assert rep.passed
     assert rep.max_mu_formula == 0.0
     assert rep.degenerate_count == 0
 
 
 def test_qc_report_perturbed_passes_bound():
-    rep = qc_report(perturbed_identity(0.3), "schwarzian", k=0.5,
+    h = perturbed_identity(0.3)
+    rep = qc_report(h, "schwarzian", _small_tau(h, "schwarzian"), k=0.5,
                     grid=SMALL_GRID, nx=17, ny=17)
     assert rep.passed
     assert rep.max_mu_formula <= 0.25 + 1e-9
@@ -210,8 +217,8 @@ def test_qc_report_square_fails_bound_not_identity():
     # forced horizon: the formula/FD identity still holds away from the axis,
     # but |mu| reaches 3 near y = 0, so the extension is not quasiconformal
     grid = StripGrid(x_min=0.05, points_per_decade=16, y_max=5.0, y_count=33)
-    rep = qc_report(square_map(), "schwarzian", k=0.5, grid=grid,
-                    nx=15, ny=33, tau=0.1, fd_step=1e-6, fd_tolerance=1e-5)
+    rep = qc_report(square_map(), "schwarzian", 0.1, k=0.5, grid=grid,
+                    nx=15, ny=33, fd_step=1e-6, fd_tolerance=1e-5)
     assert not rep.passed
     assert rep.max_mu_formula >= 1.0
     assert rep.max_identity_error <= rep.fd_tolerance  # identity intact
@@ -219,7 +226,8 @@ def test_qc_report_square_fails_bound_not_identity():
 
 
 def test_qc_report_json_shape():
-    rep = qc_report(identity(), "schwarzian", k=0.5, grid=SMALL_GRID, nx=5, ny=5)
+    rep = qc_report(identity(), "schwarzian", _small_tau(identity(), "schwarzian"), k=0.5,
+                    grid=SMALL_GRID, nx=5, ny=5)
     doc = rep.to_json_dict()
     assert set(doc) == {"map", "variant", "k", "tau", "fd_step", "summary", "samples"}
     assert set(doc["summary"]) == {"max_mu", "max_mu_formula", "max_identity_err",
@@ -229,7 +237,8 @@ def test_qc_report_json_shape():
 
 
 def test_qc_report_sample_err_is_complex_abs():
-    rep = qc_report(perturbed_identity(0.3), "pre-schwarzian", k=0.5,
+    h = perturbed_identity(0.3)
+    rep = qc_report(h, "pre-schwarzian", _small_tau(h, "pre-schwarzian"), k=0.5,
                     grid=SMALL_GRID, nx=7, ny=9)
     samples = rep.to_json_dict()["samples"]
     for s, fd, form in zip(samples, rep.mu_fd.ravel(), rep.mu_form.ravel()):
@@ -254,13 +263,13 @@ def _qc_reports(draw):
                               (nx, ny))
         return out
 
-    points, values, d_z, d_zbar, mu_fd, mu_form = (column() for _ in range(6))
+    points, d_z, d_zbar, mu_fd, mu_form = (column() for _ in range(5))
     degenerate = np.reshape(draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)),
                             (nx, ny)).astype(bool)
     variant = draw(st.sampled_from(("schwarzian", "pre-schwarzian")))
     failures = tuple(draw(st.lists(st.sampled_from(("guard", "horizon")), max_size=2)))
     return QCReport("counterexample-f", variant, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
-                    1e-5, 1e-6, points, values, d_z, d_zbar, mu_fd, mu_form,
+                    1e-5, 1e-6, points, d_z, d_zbar, mu_fd, mu_form,
                     degenerate, failures)
 
 

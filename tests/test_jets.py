@@ -11,14 +11,11 @@ from chordalqc.errors import BranchCutError, EvaluationError
 from chordalqc.jets import (
     Jet,
     _all_finite,
-    jet_compose,
     jet_constant,
     jet_div,
-    jet_elementary,
     jet_mul,
     jexp,
     jlog,
-    jpow,
     jrecip,
     jsqrt,
     lift_variable,
@@ -79,11 +76,9 @@ def test_division_by_zero_value_names_first_point():
 
 
 def test_elementary_anchor_tables():
-    assert_jet_close(jet_elementary("exp", lift_variable(0)), (1, 1, 1, 1, 1))
-    assert_jet_close(jet_elementary("log", lift_variable(1)), (0, 1, -1, 2, -6))
-    assert_jet_close(
-        jet_elementary("sqrt", lift_variable(1)), (1, 0.5, -0.25, 0.375, -0.9375)
-    )
+    assert_jet_close(jexp(lift_variable(0)), (1, 1, 1, 1, 1))
+    assert_jet_close(jlog(lift_variable(1)), (0, 1, -1, 2, -6))
+    assert_jet_close(jsqrt(lift_variable(1)), (1, 0.5, -0.25, 0.375, -0.9375))
 
 
 def test_branch_cut_rejections():
@@ -95,10 +90,6 @@ def test_branch_cut_rejections():
         jsqrt(lift_variable(0.0))
     with pytest.raises(EvaluationError):
         jrecip(lift_variable(0.0))
-    with pytest.raises(ValueError):
-        jet_elementary("pow", lift_variable(1.0))  # alpha missing
-    with pytest.raises(ValueError):
-        jet_elementary("sin", lift_variable(1.0))
 
 
 def test_scalar_path_matches_cmath():
@@ -122,7 +113,6 @@ _POINTS = {
     "log": [1.0, 2.5 + 1.5j, 0.2 - 0.4j],
     "sqrt": [1.0, 0.5 + 2j, 3.0 - 1j],
     "recip": [1.0, -0.3 + 0.9j, 2.0 + 2.0j],
-    "pow": [1.0, 1.5 + 0.5j, 0.7 - 0.2j],
 }
 
 _SCALARS = {
@@ -130,15 +120,15 @@ _SCALARS = {
     "log": lambda w: __import__("mpmath").log(w),
     "sqrt": lambda w: __import__("mpmath").sqrt(w),
     "recip": lambda w: 1 / w,
-    "pow": lambda w: __import__("mpmath").power(w, "0.7"),
 }
+
+_HELPERS = {"exp": jexp, "log": jlog, "sqrt": jsqrt, "recip": jrecip}
 
 
 @pytest.mark.parametrize("fn", sorted(_POINTS))
 def test_elementary_against_fd_oracle(fn):
-    alpha = 0.7 if fn == "pow" else None
     for z0 in _POINTS[fn]:
-        jet = jet_elementary(fn, lift_variable(z0), alpha=alpha)
+        jet = _HELPERS[fn](lift_variable(z0))
         oracle = fd_derivatives(_SCALARS[fn], z0)
         for got, want in zip(jet.coeffs, oracle):
             assert rel_err(complex(got), want) <= 1e-6
@@ -159,20 +149,6 @@ def test_composition_chain_against_fd_oracle():
         oracle = fd_derivatives(scalar, z0)
         for got, want in zip(jet.coeffs, oracle):
             assert rel_err(complex(got), want) <= 1e-6
-
-
-def test_lift_variable_is_composition_identity():
-    a = jexp(lift_variable(0.4 + 0.2j))
-    left = jet_compose(lift_variable(a.value), a)
-    assert_jet_close(left, a.coeffs)
-    right = jet_compose(a, lift_variable(a.center))
-    assert_jet_close(right, a.coeffs)
-
-
-def test_compose_requires_matching_expansion_point():
-    a = lift_variable(1.0)
-    with pytest.raises(EvaluationError):
-        jet_compose(lift_variable(5.0), a)
 
 
 _coeff = st.complex_numbers(

@@ -8,8 +8,6 @@ from chordalqc.loewner import (
     evolve_trace,
     family_derivatives,
     family_ht,
-    herglotz_p,
-    make_field,
     pde_residual,
     tau0_scan,
 )
@@ -20,7 +18,7 @@ SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
 
 
 def small_field(m, variant="schwarzian", k=0.5):
-    return make_field(m, variant, k, grid=SMALL_GRID)
+    return HerglotzField(m, variant, k, tau0_scan(m, variant, k, grid=SMALL_GRID).t_star)
 
 
 # -- herglotz field ----------------------------------------------------------
@@ -29,20 +27,20 @@ def small_field(m, variant="schwarzian", k=0.5):
 def test_p_is_one_at_time_zero():
     field = small_field(perturbed_identity(0.3))
     for z in (0.5, 1 + 1j):
-        assert abs(herglotz_p(field, z, 0.0) - 1.0) <= 1e-15
+        assert abs(field.p(z, 0.0) - 1.0) <= 1e-15
 
 
 def test_identity_field_is_constant_one():
     field = small_field(identity())
     for t in (0.0, 0.3, 0.9):
-        assert abs(herglotz_p(field, 1 + 2j, t) - 1.0) <= 1e-15
+        assert abs(field.p(1 + 2j, t) - 1.0) <= 1e-15
 
 
 def test_disk_identity_schwarzian():
     h = perturbed_identity(0.3)
     field = small_field(h)
     z, t = 1.0, 0.05
-    p = herglotz_p(field, z, t)
+    p = field.p(z, t)
     s = derivative_ratios(h.jet(z + t))[1]
     assert abs(abs((p - 1) / (p + 1)) - 2 * t * t * abs(s)) <= 1e-12
 
@@ -51,7 +49,7 @@ def test_disk_identity_pre_variant():
     h = perturbed_identity(0.3)
     field = small_field(h, "pre-schwarzian")
     z, t = 0.7 + 0.4j, 0.08
-    p = herglotz_p(field, z, t)
+    p = field.p(z, t)
     pf = derivative_ratios(h.jet(z + t))[0]
     assert abs(abs((p - 1) / (p + 1)) - 2 * t * abs(pf)) <= 1e-12
 
@@ -65,12 +63,6 @@ def test_field_stays_in_disk_with_positive_real_part():
     p = field.p(z, t)
     assert np.all(np.abs((p - 1) / (p + 1)) <= field.k + 1e-12)
     assert np.all(p.real >= field.drift - 1e-12)
-
-
-def test_herglotz_requires_time_in_horizon():
-    field = HerglotzField(identity(), "schwarzian", 0.5, 0.1)
-    with pytest.raises(HorizonError):
-        herglotz_p(field, 1.0, 0.2)
 
 
 def test_field_validation():

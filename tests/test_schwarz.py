@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalqc import schwarz
-from chordalqc.errors import DegenerateSampleError, DomainError, EvaluationError, HorizonError
+from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
 from chordalqc.loewner import VARIANT_SCHWARZIAN, VARIANTS, tau0_scan
 from chordalqc.maps import (
     DOMAIN_H,
@@ -29,7 +29,6 @@ from chordalqc.schwarz import (
     NormProfile,
     StripGrid,
     derivative_ratios,
-    horodisk_ratio,
     norm_profile,
     pre_schwarzian,
     schwarzian,
@@ -331,40 +330,6 @@ def test_streamed_scan_memory_does_not_grow_with_cpu_count(monkeypatch):
     # each block in flight holds about 6.6 MB: 64 threads would hold over 400 MB
     monkeypatch.setattr(schwarz, "_cpu_count", lambda: 64)
     assert _scan_peak_mb() < 48
-
-
-# -- horodisk --------------------------------------------------------------
-
-
-def test_horodisk_center_and_half():
-    ratio, _ = horodisk_ratio(1.0, 4.0)
-    assert ratio == 1.0
-    ratio, inside = horodisk_ratio(0.5, 40.0)
-    assert abs(ratio - 1.0) <= 1e-15
-    assert inside  # the real segment near 0 sits inside every horodisk
-
-
-def test_horodisk_outside_bound():
-    # outside D_a the ratio d/Re z is at most 1/a
-    a = 40.0  # a = 4/eps with eps = 0.1
-    rng = np.random.default_rng(3)
-    checked = 0
-    while checked < 10000:
-        z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
-        if abs(z - 1) >= 1:
-            continue
-        ratio, inside = horodisk_ratio(z, a)
-        if inside:
-            continue
-        assert ratio <= 1 / a + 1e-12
-        checked += 1
-
-
-def test_horodisk_rejects_outside_disk():
-    with pytest.raises(DomainError):
-        horodisk_ratio(2.5, 4.0)
-    with pytest.raises(ValueError):
-        horodisk_ratio(1.0, 0.5)
 
 
 def test_grid_levels_are_log_spaced():
