@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, EvaluationError, HorizonError
-from .jets import _is_np
+from .jets import _first_center, _is_np
 from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht
 from .maps import ConformalMap
-from .schwarz import StripGrid, derivative_ratios
+from .schwarz import StripGrid, _run_blocks, derivative_ratios
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-6
@@ -72,9 +72,10 @@ def extend(h: ConformalMap, variant: str, z, tau: float | None = None):
     if not _all_neg(x):
         raise ValueError("array input must not mix Re z < 0 with Re z >= 0")
     if tau is not None:
-        beyond = np.any(x <= -tau) if _is_np(x) else x <= -tau
-        if beyond:
-            raise HorizonError(f"Re z = {x!r} at or beyond the horizon -tau = {-tau}")
+        beyond = x <= -tau
+        if np.any(beyond):
+            first = _re(_first_center(beyond, z))
+            raise HorizonError(f"Re z = {first!r} at or beyond the horizon -tau = {-tau}")
     zs = reflected(z)
     jet = h.jet(zs)
     c0, c1 = jet.coeffs[0], jet.coeffs[1]
@@ -166,8 +167,6 @@ class QCReport:
     fd_step: float
     fd_tolerance: float
     points: np.ndarray
-    d_z: np.ndarray
-    d_zbar: np.ndarray
     mu_fd: np.ndarray
     mu_form: np.ndarray
     degenerate: np.ndarray
@@ -263,28 +262,31 @@ def qc_report(
     and counted separately.
     """
     _check_variant(variant)
+    if not 0 < k < 1:
+        raise ValueError(f"k must lie in (0,1), got {k}")
+    if not (np.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
     pts = mirror_strip_points(tau, fd_step=fd_step, grid=grid, nx=nx, ny=ny)
-    failures = []
+    mu_fd = np.empty(pts.shape, dtype=complex)
+    mu_form = np.empty(pts.shape, dtype=complex)
+    degenerate = np.empty(pts.shape, dtype=bool)
+    floor = 100 * np.finfo(float).eps / fd_step
 
     def F(w):
         return extend(h, variant, w, tau=tau)
 
-    try:
-        d_z, d_zbar = _wirtinger_pair(F, pts, fd_step)
-        mu_form = mu_formula(h, variant, pts)
-    except (EvaluationError, HorizonError) as exc:  # pragma: no cover - guard rail
-        failures.append(str(exc))
-        empty = np.zeros((0, 0), dtype=complex)
-        return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, empty, empty,
-                        empty, empty, empty, np.zeros((0, 0), dtype=bool),
-                        tuple(failures))
+    def run(a, b):
+        d_z, d_zbar = _wirtinger_pair(F, pts[a:b], fd_step)
+        mu_form[a:b] = mu_formula(h, variant, pts[a:b])
+        deg = degenerate[a:b] = np.abs(d_z) < floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_fd[a:b] = np.where(deg, 0.0, d_zbar / np.where(deg, 1.0, d_z))
 
-    floor = 100 * np.finfo(float).eps / fd_step
-    degenerate = np.abs(d_z) < floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_fd = np.where(degenerate, 0.0, d_zbar / np.where(degenerate, 1.0, d_z))
-    return QCReport(
-        h.name, variant, k, tau, fd_step, fd_tolerance,
-        pts, d_z, d_zbar, mu_fd, np.asarray(mu_form),
-        degenerate, tuple(failures),
-    )
+    try:
+        _run_blocks(run, *pts.shape)
+    except (EvaluationError, HorizonError) as exc:
+        empty = np.zeros((0, 0), dtype=complex)
+        return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, empty, empty, empty,
+                        np.zeros((0, 0), dtype=bool), (str(exc),))
+    return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, pts, mu_fd, mu_form,
+                    degenerate, ())

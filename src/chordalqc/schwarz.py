@@ -97,10 +97,6 @@ class StripGrid:
     def y_values(self) -> np.ndarray:
         return np.linspace(-self.y_max, self.y_max, self.y_count)
 
-    def mesh(self, x_max: float) -> np.ndarray:
-        xs = self.x_levels(x_max)
-        return xs[:, None] + 1j * self.y_values()[None, :]
-
 
 @dataclass(frozen=True)
 class NormProfile:
@@ -164,7 +160,7 @@ def _weights(m: ConformalMap, mesh: np.ndarray):
 
 def strip_weights(m: ConformalMap, grid: StripGrid, x_max: float):
     """Grid mesh plus the weighted fields (2x)|Pf| and (2x)^2|Sf| on it."""
-    mesh = grid.mesh(x_max)
+    mesh = grid.x_levels(x_max)[:, None] + 1j * grid.y_values()[None, :]
     return (mesh, *_weights(m, mesh))
 
 
@@ -176,16 +172,25 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(run, blocks: list, workers: int):
-    """``run(block)`` for every block on ``workers`` threads, this one among them
-    (one worker is a serial loop and starts no thread).
+def _run_blocks(run, levels: int, width: int):
+    """``run(a, b)`` for the levels ``a:b`` of each block of a grid of ``levels``
+    levels of ``width`` points: the one strip-grid evaluator.
 
-    Blocks are handed out in order and no block starts after one has failed,
-    so every block before a failing one has run: the exception raised is the
-    one of the lowest-numbered failing block, as in a serial loop.
+    Blocks hold whole levels and at least ``BLOCK_POINTS`` points (a short tail
+    joins the block before it).  They run on one thread per CPU of the process,
+    at most ``MAX_WORKERS``, this one among them; ``run`` writes only its own
+    levels, so results do not depend on the thread count.  Blocks are handed out
+    in order and none starts after one has failed: the exception raised is the
+    lowest-numbered failing block's, as in a serial loop.
     """
     import threading
 
+    rows = -(-BLOCK_POINTS // width)  # levels per block, rounded up
+    starts = list(range(0, levels, rows))
+    if len(starts) > 1 and levels - starts[-1] < rows:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [levels]))
+    workers = min(_cpu_count(), MAX_WORKERS, len(blocks))
     lock = threading.Lock()
     failed = {}  # block index -> exception
     next_block = 0
@@ -200,7 +205,7 @@ def _run_blocks(run, blocks: list, workers: int):
                 i = next_block
                 next_block += 1
             try:
-                run(blocks[i])
+                run(*blocks[i])
             except BaseException as exc:  # handed to the calling thread, which raises it
                 with lock:
                     failed[i] = exc
@@ -223,24 +228,14 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     """Re levels and, per level, the max of (2x)|Pf| and of (2x)^2|Sf|, each
     with its first maximizing grid point: ``xs, ((beta, z_beta), (sigma, z_sigma))``.
 
-    The mesh is evaluated in blocks of whole levels holding at least
-    ``BLOCK_POINTS`` points (a short tail joins the block before it), so
-    memory does not grow with the number of levels.  Blocks run concurrently
-    on one thread per CPU of the process, at most ``MAX_WORKERS``; each writes
-    only its own levels, so the result does not depend on the thread count.  A NaN weight
+    The mesh is evaluated in the blocks of :func:`_run_blocks`.  A NaN weight
     wins its level, as it does in ``np.max``.
     """
     xs = grid.x_levels(x_max)
     ys = grid.y_values()
-    rows = -(-BLOCK_POINTS // ys.size)  # levels per block, rounded up
-    starts = list(range(0, xs.size, rows))
-    if len(starts) > 1 and xs.size - starts[-1] < rows:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [xs.size]))
     sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
 
-    def run(block):
-        a, b = block
+    def run(a, b):
         mesh = xs[a:b, None] + 1j * ys[None, :]
         level = np.arange(b - a)
         for w, (vals, args) in zip(_weights(m, mesh), sups):
@@ -248,7 +243,7 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
             vals[a:b] = w[level, col]
             args[a:b] = mesh[level, col]
 
-    _run_blocks(run, blocks, workers=min(_cpu_count(), MAX_WORKERS, len(blocks)))
+    _run_blocks(run, xs.size, ys.size)
     return xs, sups
 
 

@@ -238,6 +238,24 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
     assert captured.err == f"chordalqc: error: {name} must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify-mu", "--map", "identity", "--fd-step", "0", "--summary-only", "--nx", "3",
+      "--ny", "3"], "fd_step must be finite and positive, got 0.0"),
+    (["verify-mu", "--map", "identity", "--k", "1.5", "--tau", "0.1", "--summary-only",
+      "--nx", "3", "--ny", "3"], "k must lie in (0,1), got 1.5"),
+    (["pde-check", "--map", "identity", "--t-cap", "-1"],
+     "--t-cap must be finite and nonnegative, got -1.0"),
+    (["pde-check", "--map", "identity", "--t-cap", "nan"],
+     "--t-cap must be finite and nonnegative, got nan"),
+], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
+        "pde-check-t-cap-nan"])
+def test_bad_parameter_exit_one_naming_it(capsys, args, message):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chordalqc: error: {message}\n"
+
+
 def test_verify_mu_horizon_is_the_horizon_command_t_star(capsys):
     base = ["--map", "perturbed-identity:0.3", *FAST_GRID]
     assert run(["horizon", *base]) == 0

@@ -1,15 +1,20 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordalqc.cli import _json_doc
-from chordalqc.errors import DegenerateSampleError, HorizonError
+from chordalqc import schwarz
+from chordalqc.cli import _json_doc, main
+from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
 from chordalqc.extension import (
     QCReport,
+    _wirtinger_pair,
     extend,
     mirror_strip_points,
     mu_formula,
@@ -17,11 +22,14 @@ from chordalqc.extension import (
     trace_extend,
     wirtinger_mu,
 )
-from chordalqc.loewner import tau0_scan
+from chordalqc.loewner import VARIANTS, tau0_scan
 from chordalqc.maps import (
+    DOMAIN_H,
+    ConformalMap,
     counterexample_f,
     identity,
     moebius,
+    parse_map_spec,
     perturbed_identity,
     square_map,
 )
@@ -180,7 +188,7 @@ def test_moebius_extension_is_holomorphic_in_strip():
     rep = qc_report(m, "schwarzian", _small_tau(m, "schwarzian"), k=0.5, grid=SMALL_GRID,
                     nx=9, ny=9)
     assert rep.passed
-    assert float(np.abs(rep.d_zbar).max()) <= 1e-8
+    assert rep.max_mu_fd <= 1e-8  # d_z = 1, so mu_fd is d_zbar
 
 
 def test_boundary_continuity():
@@ -245,6 +253,106 @@ def test_qc_report_sample_err_is_complex_abs():
         assert s["err"] == abs(complex(fd) - complex(form))
 
 
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+def _whole_mesh_qc(h, variant, tau, fd_step, nx, ny):
+    """mu_fd, mu_formula and degenerate of qc_report, evaluated on the whole mesh."""
+    pts = mirror_strip_points(tau, fd_step=fd_step, nx=nx, ny=ny)
+    d_z, d_zbar = _wirtinger_pair(lambda w: extend(h, variant, w, tau=tau), pts, fd_step)
+    degenerate = np.abs(d_z) < 100 * np.finfo(float).eps / fd_step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_fd = np.where(degenerate, 0.0, d_zbar / np.where(degenerate, 1.0, d_z))
+    return pts, mu_fd, mu_formula(h, variant, pts), degenerate
+
+
+@st.composite
+def _blocked_samples(draw):
+    """BLOCK_POINTS >= 2**14 and nx levels of ny samples: 0-2 whole blocks plus a short tail."""
+    block_points = draw(st.integers(2 ** 14, 2 ** 15))
+    ny = draw(st.integers(33, 257))
+    rows = -(-block_points // ny)
+    nx = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
+    return block_points, nx, ny
+
+
+@pytest.mark.parametrize("spec, tau", [("counterexample-f", 1.0), ("perturbed-identity:0.3", 0.8)])
+@settings(max_examples=4, deadline=None)
+@given(case=_blocked_samples(), variant=st.sampled_from(VARIANTS))
+def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, tau, case,
+                                                                        variant,
+                                                                        tmp_path_factory):
+    block_points, nx, ny = case
+    h = parse_map_spec(spec)
+    want = _whole_mesh_qc(h, variant, tau, 1e-5, nx, ny)
+    trace_pts = mirror_strip_points(tau, fd_step=1e-9, nx=nx, ny=ny)
+    want_trace = float(np.max(np.abs(trace_extend(h, variant, trace_pts)
+                                      - extend(h, variant, trace_pts, tau=tau))))
+    out = tmp_path_factory.mktemp("trace") / "trace.json"
+    trace_args = ["trace-check", "--map", spec, "--variant", variant, "--tau", repr(tau),
+                  "--nx", str(nx), "--ny", str(ny), "--out", str(out)]
+    # one worker runs the serial loop; three threads with frequent thread switches
+    # interleave the blocks' writes
+    switch_interval = sys.getswitchinterval()
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schwarz, "BLOCK_POINTS", block_points)
+            mp.setattr(schwarz, "_cpu_count", lambda: workers)
+            mp.setattr(schwarz, "MAX_WORKERS", workers)
+            sys.setswitchinterval(1e-5)
+            try:
+                rep = qc_report(h, variant, tau, nx=nx, ny=ny)
+                assert main(trace_args) == 0
+            finally:
+                sys.setswitchinterval(switch_interval)
+        assert rep.failures == ()
+        for got, expected in zip((rep.points, rep.mu_fd, rep.mu_form, rep.degenerate), want):
+            assert _bits(got) == _bits(expected)
+        doc = json.loads(out.read_text())
+        assert doc["points"] == nx * ny
+        assert _bits(doc["max_difference"]) == _bits(want_trace)
+
+
+def test_qc_report_names_failure_of_first_block(monkeypatch):
+    # block 0 fails after a later block has failed; the report names block 0, as a
+    # serial loop does
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 4 * SMALL_GRID.y_count)
+    later_failed = threading.Event()
+
+    def formula(w):
+        # block 0 holds the levels next to the axis, mirrored to Re z* = x_min +- fd_step
+        if w.center.real.min() > 1.5 * SMALL_GRID.x_min:
+            later_failed.set()
+            raise EvaluationError("failure in a later block")
+        assert later_failed.wait(timeout=30)
+        raise EvaluationError("failure in block 0")
+
+    rep = qc_report(ConformalMap("fake", DOMAIN_H, formula), "schwarzian", 0.5, grid=SMALL_GRID)
+    assert rep.failures == ("failure in block 0",)
+    assert rep.points.size == 0
+
+
+def test_qc_report_memory_is_bounded():
+    # 526k samples at 512 points per decade; the whole mesh's stencils took about 241 MB
+    tracemalloc.start()
+    try:
+        rep = qc_report(counterexample_f(), "schwarzian", 1.0,
+                        grid=StripGrid(points_per_decade=512))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert rep.failures == () and rep.points.size == 526593
+    assert peak_mb < 64
+
+
+def test_horizon_guard_names_first_point_beyond():
+    pts = np.array([-0.05 + 1j, -0.3 + 2j, -0.4 - 1j])
+    with pytest.raises(HorizonError, match=r"^Re z = -0\.3 at or beyond the horizon -tau = -0\.2$"):
+        extend(perturbed_identity(0.3), "schwarzian", pts, tau=0.2)
+
+
 _EDGE_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e-7, math.inf, -math.inf, math.nan]
 )
@@ -263,14 +371,13 @@ def _qc_reports(draw):
                               (nx, ny))
         return out
 
-    points, d_z, d_zbar, mu_fd, mu_form = (column() for _ in range(5))
+    points, mu_fd, mu_form = (column() for _ in range(3))
     degenerate = np.reshape(draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)),
                             (nx, ny)).astype(bool)
     variant = draw(st.sampled_from(("schwarzian", "pre-schwarzian")))
     failures = tuple(draw(st.lists(st.sampled_from(("guard", "horizon")), max_size=2)))
     return QCReport("counterexample-f", variant, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
-                    1e-5, 1e-6, points, d_z, d_zbar, mu_fd, mu_form,
-                    degenerate, failures)
+                    1e-5, 1e-6, points, mu_fd, mu_form, degenerate, failures)
 
 
 @settings(max_examples=200, deadline=None)

@@ -251,7 +251,7 @@ def test_streamed_argmax_ties_pick_first_grid_point(monkeypatch):
     monkeypatch.setattr(schwarz, "BLOCK_POINTS", 2 ** 14)
     grid = StripGrid(points_per_decade=32)  # 129 levels of 257 points: blocks of 64 and 65 levels
     prof = norm_profile(identity(), [1.0, 0.01], grid=grid)
-    first = complex(grid.mesh(1.0)[0, 0])
+    first = complex(grid.x_levels(1.0)[0], grid.y_values()[0])
     assert prof.argmax_beta == prof.argmax_sigma == (first, first)
 
 
