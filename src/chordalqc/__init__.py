@@ -32,7 +32,6 @@ from .schwarz import (
     norm_profile,
     pre_schwarzian,
     schwarzian,
-    schwarzian_deriv,
 )
 from .loewner import (
     EvolutionState,

@@ -25,6 +25,7 @@ from . import carleson as carleson_mod
 from . import extension as ext_mod
 from . import loewner as loewner_mod
 from .errors import EvaluationError, HorizonError, QuadratureError
+from .jets import ORDER
 from .maps import CATALOG_SPECS, parse_complex, parse_map_spec
 from .schwarz import NormProfile, StripGrid, _run_blocks, norm_profile
 
@@ -128,8 +129,10 @@ def _grid_from(ns) -> StripGrid:
 
 
 def _add_common(p: argparse.ArgumentParser, fmt_choices=("csv", "json"), fmt_default="csv"):
+    """--out and --config, and --format unless ``fmt_choices`` is empty (JSON only)."""
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=fmt_choices, default=fmt_default, help="report format")
+    if fmt_choices:
+        p.add_argument("--format", choices=fmt_choices, default=fmt_default, help="report format")
     p.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
 
 
@@ -157,7 +160,7 @@ def build_parser() -> _Parser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common(p, fmt_choices=("text", "json"), fmt_default="text")
 
-    p = sub.add_parser("eval", help="order-4 jet of a map at points",
+    p = sub.add_parser("eval", help="order-3 jet of a map at points",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--map", required=True, help="map spec")
     p.add_argument("--z", required=True, help="semicolon-separated points, re+imi")
@@ -202,7 +205,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-cap", type=float, default=0.05, help="largest sampled time")
     p.add_argument("--k", type=float, default=0.5)
     _add_grid(p)
-    _add_common(p, fmt_default="json")
+    _add_common(p, fmt_choices=())
 
     p = sub.add_parser("extend", help="extension values over the imaginary axis",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -226,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
     p.add_argument("--summary-only", action="store_true", help="omit per-sample rows")
     _add_grid(p)
-    _add_common(p, fmt_default="json")
+    _add_common(p, fmt_choices=())
 
     p = sub.add_parser("trace-check", help="chain-trace vs closed-form extension equality",
                        description="Compare the chain member h_t at t = -Re z, evaluated at "
@@ -242,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
     p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
-    _add_common(p, fmt_default="json")
+    _add_common(p, fmt_choices=())
 
     p = sub.add_parser("carleson", help="Carleson box-ratio scan of a density",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -269,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--center-y", type=float, default=0.0, help="box center on the imaginary axis")
     p.add_argument("--rel-tol", type=float, default=1e-8, help="quadrature relative tolerance")
     _add_grid(p)
-    _add_common(p, fmt_default="json")
+    _add_common(p, fmt_choices=())
 
     return top
 
@@ -317,11 +320,11 @@ def _cmd_eval(ns) -> int:
             row.extend((c.real, c.imag))
         rows.append(row)
     header = ["z_re", "z_im"]
-    for k in range(5):
+    for k in range(ORDER + 1):
         header.extend((f"c{k}_re", f"c{k}_im"))
     if ns.format == "json":
         doc = [
-            {"z": [r[0], r[1]], "coeffs": [[r[2 + 2 * k], r[3 + 2 * k]] for k in range(5)]}
+            {"z": r[:2], "coeffs": [r[2 + 2 * k:4 + 2 * k] for k in range(ORDER + 1)]}
             for r in rows
         ]
         _atomic_write(_json_doc({"map": m.name, "jets": doc}), ns.out)

@@ -94,7 +94,7 @@ def mu_formula(h: ConformalMap, variant: str, z):
     if not _all_neg(x):
         raise ValueError("dilatation formula is defined for Re z < 0 only")
     zs = reflected(z)
-    pf, sf, _ = derivative_ratios(h.jet(zs))
+    pf, sf = derivative_ratios(h.jet(zs))
     if variant == VARIANT_SCHWARZIAN:
         return -0.5 * (2 * x) ** 2 * sf
     return -(2 * x) * pf

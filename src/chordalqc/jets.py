@@ -1,14 +1,14 @@
-"""Order-4 truncated Taylor (jet) arithmetic over the complex numbers.
+"""Order-3 truncated Taylor (jet) arithmetic over the complex numbers.
 
-A :class:`Jet` carries the value and the first four derivatives of an
+A :class:`Jet` carries the value and the first three derivatives of an
 analytic function at a point.  Sums, products, quotients, the elementary
 functions exp/log/sqrt/recip, and composition propagate derivatives
-exactly (Leibniz rule, quotient recursion, Faa di Bruno through order 4),
+exactly (Leibniz rule, quotient recursion, Faa di Bruno through order 3),
 so code built on top of this module never needs finite differencing or a
-symbolic engine to obtain f', f'', f''', f''''.
+symbolic engine to obtain f', f'', f'''.
 
-Order 4 is fixed: the second-order distortion f'''/f' - (3/2)(f''/f')^2
-needs three derivatives, and its own derivative needs four.
+Order 3 is fixed: the Schwarzian f'''/f' - (3/2)(f''/f')^2 needs three
+derivatives, and nothing computed from it needs a fourth.
 
 Coefficients are polymorphic in the scalar type.  Plain ``complex`` is
 the default; numpy arrays give elementwise jets over whole grids, and
@@ -37,9 +37,9 @@ import numpy as np
 
 from .errors import BranchCutError, EvaluationError
 
-ORDER = 4
+ORDER = 3
 
-_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
+_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
 
 
 def _is_np(v):
@@ -100,6 +100,12 @@ def _any_zero(v):
     return v == 0
 
 
+def _any_nan(v):
+    if _is_np(v):
+        return bool(np.any(np.isnan(v)))
+    return v != v
+
+
 def _first_center(bad, center):
     """Center of the first (row-major) point where the mask ``bad`` is true."""
     if not (_is_np(bad) or _is_np(center)):
@@ -135,7 +141,7 @@ def _same_value(a, b):
 
 
 class Jet:
-    """Value and derivatives ``(f, f', f'', f''', f'''')`` at ``center``.
+    """Value and derivatives ``(f, f', f'', f''')`` at ``center``.
 
     Immutable after construction; every operation returns a fresh Jet.
     Finiteness is checked where points enter (:func:`lift_variable`) and
@@ -202,12 +208,12 @@ class Jet:
 
 
 def lift_variable(z0) -> Jet:
-    """Jet of the identity map at ``z0``: coefficients (z0, 1, 0, 0, 0)."""
+    """Jet of the identity map at ``z0``: coefficients (z0, 1, 0, 0)."""
     if isinstance(z0, (int, float)):
         z0 = complex(z0)
     if not _all_finite(z0):
         raise EvaluationError(f"cannot lift a non-finite point z={_first_nonfinite((z0,), z0)!r}")
-    return Jet(z0, (z0, 1.0, 0.0, 0.0, 0.0))
+    return Jet(z0, (z0, 1.0, 0.0, 0.0))
 
 
 def require_finite(jet: Jet) -> Jet:
@@ -223,11 +229,11 @@ def require_finite(jet: Jet) -> Jet:
 
 def jet_constant(value, z0) -> Jet:
     """Jet of the constant map ``value`` at ``z0``."""
-    return Jet(z0, (value, 0.0, 0.0, 0.0, 0.0))
+    return Jet(z0, (value, 0.0, 0.0, 0.0))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Product jet by the Leibniz rule, exact through order 4."""
+    """Product jet by the Leibniz rule, exact through order 3."""
     a._check_center(b)
     u, v = a.coeffs, b.coeffs
     out = tuple(
@@ -237,40 +243,60 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
-    """Quotient jet a/b, solving the Leibniz identity a = q*b order by order."""
+    """Quotient jet a/b, solving the Leibniz identity a = q*b order by order.
+
+    A term whose divisor coefficient is exactly zero adds exactly zero, also
+    where its other factor overflowed to infinity (inf * 0 is NaN).
+    """
     a._check_center(b)
     u, v = a.coeffs, b.coeffs
     if _any_zero(v[0]):
         raise EvaluationError(
             f"division by jet with zero value at z={_first_center(np.equal(v[0], 0), a.center)!r}"
         )
+    if not _is_np(a.center):
+        return Jet(a.center, _quotient(u, v))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 terms, which _quotient repairs
+        return Jet(a.center, _quotient(u, v))
+
+
+def _quotient(u, v):
+    """Coefficients of u/v by the quotient recursion (``v[0]`` has no zero)."""
     q0 = u[0] / v[0]
     q1 = (u[1] - q0 * v[1]) / v[0]
     q2 = (u[2] - q0 * v[2] - 2 * q1 * v[1]) / v[0]
     q3 = (u[3] - q0 * v[3] - 3 * q1 * v[2] - 3 * q2 * v[1]) / v[0]
-    q4 = (u[4] - q0 * v[4] - 4 * q1 * v[3] - 6 * q2 * v[2] - 4 * q3 * v[1]) / v[0]
-    return Jet(a.center, (q0, q1, q2, q3, q4))
+    if not _any_nan(q3):  # a NaN term of any order reaches q3
+        return q0, q1, q2, q3
+    # the same operations in the same order, with each NaN term whose divisor
+    # coefficient is zero set to zero, so every other bit stays the same
+    q = [q0]
+    for n in range(1, ORDER + 1):
+        acc = u[n]
+        for k in range(n):
+            vk = v[n - k]
+            term = (_BINOM[n][k] * q[k] if k else q[k]) * vk
+            if _is_np(term):
+                term = np.where(np.isnan(term) & (vk == 0), 0, term)
+            elif term != term and vk == 0:
+                term = 0
+            acc = acc - term
+        q.append(acc / v[0])
+    return tuple(q)
 
 
 def _compose_derivs(g, u):
-    """Faa di Bruno through order 4.
+    """Faa di Bruno through order 3.
 
     ``g`` holds the derivatives of the outer function at the inner value,
     ``u`` the derivatives of the inner function at the center.
     """
-    u1, u2, u3, u4 = u[1], u[2], u[3], u[4]
+    u1, u2, u3 = u[1], u[2], u[3]
     r0 = g[0]
     r1 = g[1] * u1
     r2 = g[2] * u1 * u1 + g[1] * u2
     r3 = g[3] * u1 ** 3 + 3 * g[2] * u1 * u2 + g[1] * u3
-    r4 = (
-        g[4] * u1 ** 4
-        + 6 * g[3] * u1 * u1 * u2
-        + 3 * g[2] * u2 * u2
-        + 4 * g[2] * u1 * u3
-        + g[1] * u4
-    )
-    return (r0, r1, r2, r3, r4)
+    return (r0, r1, r2, r3)
 
 
 # -- elementary functions ----------------------------------------------------
@@ -285,7 +311,7 @@ def jexp(a):
     if not isinstance(a, Jet):
         return _exp(a)
     e = _exp(a.value)
-    return Jet(a.center, _compose_derivs((e, e, e, e, e), a.coeffs))
+    return Jet(a.center, _compose_derivs((e, e, e, e), a.coeffs))
 
 
 def jlog(a):
@@ -296,7 +322,7 @@ def jlog(a):
     v = a.value
     if _on_cut(v):
         raise BranchCutError(f"log jet on branch cut (-inf, 0]: value {v!r}")
-    g = (_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3, -6 / v ** 4)
+    g = (_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 
 
@@ -307,7 +333,7 @@ def jsqrt(a):
     if _on_cut(v):
         raise BranchCutError(f"sqrt jet on branch cut (-inf, 0]: value {v!r}")
     s = _sqrt(v)
-    g = (s, s / (2 * v), -s / (4 * v * v), 3 * s / (8 * v ** 3), -15 * s / (16 * v ** 4))
+    g = (s, s / (2 * v), -s / (4 * v * v), 3 * s / (8 * v ** 3))
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 
 
@@ -320,6 +346,6 @@ def jrecip(a):
     if _any_zero(v):
         raise EvaluationError("reciprocal jet at zero value")
     r = 1 / v
-    g = (r, -(r ** 2), 2 * r ** 3, -6 * r ** 4, 24 * r ** 5)
+    g = (r, -(r ** 2), 2 * r ** 3, -6 * r ** 4)
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 

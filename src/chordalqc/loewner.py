@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonError
-from .jets import _is_np
+from .jets import _first_center, _is_np
 from .maps import ConformalMap
 from .schwarz import StripGrid, _level_sups, derivative_ratios
 
@@ -52,15 +52,17 @@ def _check_variant(variant: str):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _too_small(den) -> bool:
-    if _is_np(den):
-        return bool(np.any(np.abs(den) < DENOM_FLOOR))
-    return abs(den) < DENOM_FLOOR
-
-
 def _guard(den, what: str, z, t):
-    if _too_small(den):
-        raise HorizonError(f"{what} below {DENOM_FLOOR} at z={z!r}, t={t!r} (horizon violated)")
+    """Raise HorizonError where ``|den|`` is below DENOM_FLOOR, naming the
+    ``z`` and ``t`` of the first such point."""
+    if _is_np(den):
+        bad = np.abs(den) < DENOM_FLOOR
+        if not bad.any():
+            return
+        z, t = _first_center(bad, z), _first_center(bad, t).real
+    elif not abs(den) < DENOM_FLOOR:
+        return
+    raise HorizonError(f"{what} below {DENOM_FLOOR} at z={z!r}, t={t!r} (horizon violated)")
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class HerglotzField:
 def _terms(h: ConformalMap, z, t):
     """h'(z+t), Ph(z+t) and Sh(z+t) from one jet evaluation."""
     jet = h.jet(z + t)
-    pf, sf, _ = derivative_ratios(jet)
+    pf, sf = derivative_ratios(jet)
     return jet.coeffs[1], pf, sf
 
 

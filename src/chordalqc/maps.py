@@ -3,7 +3,7 @@
 Every map carries a domain tag (right half-plane ``H``, the disk
 ``D(1,1)`` of radius 1 about 1, or the unit disk ``D``) and a formula
 written against the generic jet operations, so the same object yields
-either an order-4 :class:`~chordalqc.jets.Jet` at an interior point or a
+either an order-3 :class:`~chordalqc.jets.Jet` at an interior point or a
 plain boundary-continuous value.
 
 The catalog:
@@ -100,7 +100,7 @@ class ConformalMap:
     formula: Callable = field(repr=False)
 
     def jet(self, z) -> Jet:
-        """Order-4 jet at an interior point (strict domain check); raises
+        """Order-3 jet at an interior point (strict domain check); raises
         EvaluationError at the first point where the jet is not finite."""
         z = _as_point(z)
         _require_in_domain(self.domain, z, boundary_ok=False, name=self.name)

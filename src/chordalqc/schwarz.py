@@ -4,9 +4,8 @@ For a locally univalent analytic f the functionals computed here are
 
     Pf = f''/f'                      (pre-Schwarzian)
     Sf = (Pf)' - (Pf)^2/2            (Schwarzian; zero exactly on Moebius maps)
-    (Sf)'                            (its derivative, needed by order-4 users)
 
-all read off an order-4 jet as rational expressions in f'..f''''.
+both read off an order-3 jet as rational expressions in f'..f'''.
 
 On the right half-plane the hyperbolic density is 1/(2 Re z), so the
 natural boundary norms over the strip 0 < Re z <= t are
@@ -34,15 +33,13 @@ from .maps import ConformalMap
 
 
 def derivative_ratios(jet: Jet):
-    """(Pf, Sf, (Sf)') at the jet's center; needs f' != 0."""
-    _, c1, c2, c3, c4 = jet.coeffs
+    """(Pf, Sf) at the jet's center; needs f' != 0."""
+    c1, c2, c3 = jet.coeffs[1:4]
     if _any_zero(c1):
         raise DegenerateSampleError("vanishing first derivative (map not locally univalent here)")
     p = c2 / c1
-    u = c3 / c1
-    s = u - 1.5 * p * p
-    sp = c4 / c1 - 4 * u * p + 3 * p ** 3
-    return p, s, sp
+    s = c3 / c1 - 1.5 * p * p
+    return p, s
 
 
 def pre_schwarzian(m: ConformalMap, z):
@@ -53,11 +50,6 @@ def pre_schwarzian(m: ConformalMap, z):
 def schwarzian(m: ConformalMap, z):
     """Sf(z) = f'''/f' - (3/2)(f''/f')^2."""
     return derivative_ratios(m.jet(z))[1]
-
-
-def schwarzian_deriv(m: ConformalMap, z):
-    """(Sf)'(z) = f''''/f' - 4 (f'''/f')(f''/f') + 3 (f''/f')^3."""
-    return derivative_ratios(m.jet(z))[2]
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ MAX_WORKERS = 2
 
 def _weights(m: ConformalMap, mesh: np.ndarray):
     """(2x)|Pf| and (2x)^2|Sf| at the points of ``mesh``."""
-    p, s, _ = derivative_ratios(m.jet(mesh))
+    p, s = derivative_ratios(m.jet(mesh))
     two_x = 2.0 * mesh.real
     return two_x * np.abs(p), two_x ** 2 * np.abs(s)
 

@@ -29,9 +29,18 @@ def test_eval_csv(tmp_path):
     out = tmp_path / "jet.csv"
     assert run(["eval", "--map", "square", "--z", "1+0i", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("z_re,z_im,c0_re")
+    assert lines[0] == "z_re,z_im,c0_re,c0_im,c1_re,c1_im,c2_re,c2_im,c3_re,c3_im"
     vals = [float(v) for v in lines[1].split(",")]
-    assert vals[2:12:2] == [1.0, 2.0, 2.0, 0.0, 0.0]
+    assert vals[2::2] == [1.0, 2.0, 2.0, 0.0]
+
+
+def test_eval_json(tmp_path):
+    out = tmp_path / "jet.json"
+    assert run(["eval", "--map", "square", "--z", "1+0i", "--format", "json",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"map": "square", "jets": [
+        {"z": [1.0, 0.0], "coeffs": [[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]}
+    ]}
 
 
 def test_norms_identity_zero_rows(tmp_path):
@@ -167,6 +176,14 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["pde-check", "verify-mu", "trace-check", "mu-tilde"])
+def test_json_only_commands_reject_format(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--map", "identity", "--format", "csv"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_help_lists_module_defaults(capsys):

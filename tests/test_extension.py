@@ -347,6 +347,27 @@ def test_qc_report_memory_is_bounded():
     assert peak_mb < 64
 
 
+def test_denominator_guard_names_one_point_whatever_the_blocks(capsys):
+    # the guards trip on the strip's last level; each failure names its first point
+    verify = ["verify-mu", "--map", "moebius:1,0,1,0.49996999999999997", "--tau", "0.5",
+              "--summary-only"]
+    trace = ["trace-check", "--map", "moebius:1,0,1,0.499999998", "--tau", "0.5"]
+    for block_points in (2 ** 14, 2 ** 15):
+        for workers in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(schwarz, "BLOCK_POINTS", block_points)
+                mp.setattr(schwarz, "_cpu_count", lambda: workers)
+                mp.setattr(schwarz, "MAX_WORKERS", workers)
+                assert main(verify) == 2
+                failures = json.loads(capsys.readouterr().out)["summary"]["failures"]
+                assert main(trace) == 2
+                err = capsys.readouterr().err
+            assert failures == ["|1 - (Re z) Ph(z*)| below 1e-09 at z=(-0.49996999999999997+0j), "
+                                "t=0.49996999999999997 (horizon violated)"]
+            assert err == ("chordalqc: |1 + t Ph(z+t)| below 1e-09 at z=0j, t=0.499999998 "
+                           "(horizon violated)\n")
+
+
 def test_horizon_guard_names_first_point_beyond():
     pts = np.array([-0.05 + 1j, -0.3 + 2j, -0.4 - 1j])
     with pytest.raises(HorizonError, match=r"^Re z = -0\.3 at or beyond the horizon -tau = -0\.2$"):

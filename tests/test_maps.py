@@ -169,6 +169,7 @@ def test_catalog_jets_match_fd_oracle(m):
     for z0 in pts:
         jet = m.jet(z0)
         oracle = fd_derivatives(lambda w: m.value(w), z0, h=1e-3)
+        assert len(jet.coeffs) == len(oracle)
         for got, want in zip(jet.coeffs, oracle):
             assert rel_err(complex(got), want) <= 1e-6
 

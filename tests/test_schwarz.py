@@ -32,11 +32,8 @@ from chordalqc.schwarz import (
     norm_profile,
     pre_schwarzian,
     schwarzian,
-    schwarzian_deriv,
     strip_weights,
 )
-
-from oracles import fd_derivatives, rel_err
 
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
 
@@ -63,15 +60,12 @@ def test_pre_schwarzian_perturbed_closed_form():
 
 def test_schwarzian_square_closed_form():
     assert abs(schwarzian(square_map(), 1.0) + 1.5) <= 1e-14
-    z = 2.0
-    assert abs(schwarzian_deriv(square_map(), z) - 3 / z ** 3) <= 1e-14
 
 
 def test_schwarzian_moebius_zero():
     m = moebius(2, 1, 1, 3)
     for z in (0.5, 1 + 2j):
         assert abs(schwarzian(m, z)) <= 1e-12
-        assert abs(schwarzian_deriv(m, z)) <= 1e-12
 
 
 def test_schwarzian_chain_rule_moebius_inner():
@@ -85,28 +79,11 @@ def test_schwarzian_chain_rule_moebius_inner():
         assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
-def test_schwarzian_deriv_against_fd_oracle():
-    import mpmath
-
-    h = perturbed_identity(0.4)
-
-    def scalar_schwarzian(w):
-        e = 0.4 * mpmath.exp(-w)
-        p = e / (1 - e)
-        # Sf = p' - p^2/2 with p' computed symbolically: p' = -e/(1-e)^2
-        return -e / (1 - e) ** 2 - p * p / 2
-
-    z0 = 0.8 + 0.3j
-    want = fd_derivatives(scalar_schwarzian, z0)[1]
-    got = schwarzian_deriv(h, z0)
-    assert rel_err(complex(got), want) <= 1e-6
-
-
 def test_degenerate_derivative_rejected():
     from chordalqc.jets import Jet
 
     with pytest.raises(DegenerateSampleError):
-        derivative_ratios(Jet(0.0, (1.0, 0.0, 1.0, 0.0, 0.0)))
+        derivative_ratios(Jet(0.0, (1.0, 0.0, 1.0, 0.0)))
 
 
 # -- norm profiles ---------------------------------------------------------
