@@ -277,21 +277,23 @@ def build_parser() -> _Parser:
     return top
 
 
-def _apply_config(ns: argparse.Namespace, argv):
-    if not getattr(ns, "config", None):
-        return
+def _config_argv(ns: argparse.Namespace, argv) -> list:
+    """``argv`` with the ``--config`` file's flags placed after the subcommand,
+    ahead of the command line's own, so that argparse converts and checks each
+    value and an explicit flag wins.  ``true`` is a bare flag and ``false`` no
+    flag; keys that name no flag of the subcommand are ignored."""
     with open(ns.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("--config must contain a JSON object")
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
+    flags = []
     for key, value in overrides.items():
         dest = key.lstrip("-").replace("-", "_")
-        if dest not in given and hasattr(ns, dest):
-            setattr(ns, dest, value)
+        if value is not False and dest != "command" and hasattr(ns, dest):
+            flag = "--" + dest.replace("_", "-")
+            flags.append(flag if value is True else f"{flag}={value}")
+    cut = argv.index(ns.command) + 1
+    return argv[:cut] + flags + argv[cut:]
 
 
 # -- handlers ----------------------------------------------------------------
@@ -539,7 +541,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns, argv)
+        if ns.config:
+            ns = parser.parse_args(_config_argv(ns, argv))
         return _HANDLERS[ns.command](ns)
     except HorizonError as exc:
         sys.stderr.write(f"chordalqc: {exc}\n")

@@ -29,34 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, EvaluationError, HorizonError
-from .jets import _first_center, _is_np
+from .jets import _first_center
 from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht
 from .maps import ConformalMap
 from .schwarz import StripGrid, _run_blocks, derivative_ratios
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-6
-
-
-def _re(z):
-    return np.real(z) if _is_np(z) else z.real
-
-
-def _im(z):
-    return np.imag(z) if _is_np(z) else z.imag
-
-
-def _all_neg(x) -> bool:
-    return bool(np.all(x < 0)) if _is_np(x) else x < 0
-
-
-def _all_nonneg(x) -> bool:
-    return bool(np.all(x >= 0)) if _is_np(x) else x >= 0
-
-
-def reflected(z):
-    """Mirror point z* = -conj(z) across the imaginary axis."""
-    return -z.conjugate() if not _is_np(z) else -np.conj(z)
 
 
 def extend(h: ConformalMap, variant: str, z, tau: float | None = None):
@@ -66,18 +45,17 @@ def extend(h: ConformalMap, variant: str, z, tau: float | None = None):
     Array input must lie entirely on one side of the axis.
     """
     _check_variant(variant)
-    x = _re(z)
-    if _all_nonneg(x):
+    x = z.real
+    if np.all(x >= 0):
         return h.value(z)
-    if not _all_neg(x):
+    if not np.all(x < 0):
         raise ValueError("array input must not mix Re z < 0 with Re z >= 0")
     if tau is not None:
         beyond = x <= -tau
         if np.any(beyond):
-            first = _re(_first_center(beyond, z))
+            first = _first_center(beyond, z).real
             raise HorizonError(f"Re z = {first!r} at or beyond the horizon -tau = {-tau}")
-    zs = reflected(z)
-    jet = h.jet(zs)
+    jet = h.jet(-z.conjugate())
     c0, c1 = jet.coeffs[0], jet.coeffs[1]
     if variant == VARIANT_PRE:
         return c0 + 2 * x * c1
@@ -90,11 +68,10 @@ def extend(h: ConformalMap, variant: str, z, tau: float | None = None):
 def mu_formula(h: ConformalMap, variant: str, z):
     """Closed-form complex dilatation of the extension at Re z < 0."""
     _check_variant(variant)
-    x = _re(z)
-    if not _all_neg(x):
+    x = z.real
+    if not np.all(x < 0):
         raise ValueError("dilatation formula is defined for Re z < 0 only")
-    zs = reflected(z)
-    pf, sf = derivative_ratios(h.jet(zs))
+    pf, sf = derivative_ratios(h.jet(-z.conjugate()))
     if variant == VARIANT_SCHWARZIAN:
         return -0.5 * (2 * x) ** 2 * sf
     return -(2 * x) * pf
@@ -103,10 +80,10 @@ def mu_formula(h: ConformalMap, variant: str, z):
 def trace_extend(h: ConformalMap, variant: str, z):
     """Extension through the chain trace: the member at time -Re z evaluated
     at i Im z.  Algebraically identical to :func:`extend` on the strip."""
-    x = _re(z)
-    if not _all_neg(x):
+    x = z.real
+    if not np.all(x < 0):
         raise ValueError("trace extension applies to Re z < 0 only")
-    return family_ht(h, variant, -x, 1j * _im(z))
+    return family_ht(h, variant, -x, 1j * z.imag)
 
 
 def _wirtinger_pair(F, z, step: float):

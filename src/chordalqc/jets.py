@@ -14,7 +14,10 @@ Coefficients are polymorphic in the scalar type.  Plain ``complex`` is
 the default; numpy arrays give elementwise jets over whole grids, and
 mpmath complex numbers give high-precision evaluation for oracle-grade
 finite differencing.  All operations dispatch on the type of the values
-they see, so a formula written once works on every carrier.
+they see, so a formula written once works on every carrier.  This module
+is the only one that tells the carriers apart; code outside it uses what
+every carrier shares (arithmetic, ``abs``, ``.real``, ``.conjugate()``,
+``np.all``) and tests a mask of any carrier with :func:`_any`.
 
 Principal branches are used everywhere.  Jets of log/sqrt reject a
 value on the cut (-inf, 0] because the derivative coefficients are
@@ -50,34 +53,16 @@ def _is_mp(v):
     return type(v).__module__.split(".")[0] == "mpmath"
 
 
-def _exp(v):
+def _elementary(name, v):
+    """``name`` ("exp", "log" or "sqrt") of ``v``, on the principal branch of
+    its carrier: numpy, mpmath or cmath."""
     if _is_np(v):
-        return np.exp(v)
+        return getattr(np, name)(v)
     if _is_mp(v):
         import mpmath
 
-        return mpmath.exp(v)
-    return cmath.exp(v)
-
-
-def _log(v):
-    if _is_np(v):
-        return np.log(v)
-    if _is_mp(v):
-        import mpmath
-
-        return mpmath.log(v)
-    return cmath.log(v)
-
-
-def _sqrt(v):
-    if _is_np(v):
-        return np.sqrt(v)
-    if _is_mp(v):
-        import mpmath
-
-        return mpmath.sqrt(v)
-    return cmath.sqrt(v)
+        return getattr(mpmath, name)(v)
+    return getattr(cmath, name)(v)
 
 
 def _all_finite(v):
@@ -94,16 +79,11 @@ def _all_finite(v):
     return math.isfinite(v)
 
 
-def _any_zero(v):
-    if _is_np(v):
-        return bool(np.any(v == 0))
-    return v == 0
-
-
-def _any_nan(v):
-    if _is_np(v):
-        return bool(np.any(np.isnan(v)))
-    return v != v
+def _any(mask) -> bool:
+    """True if any entry of ``mask`` is true, whatever the carrier."""
+    if type(mask) is bool:  # a comparison of Python or mpmath scalars
+        return mask
+    return bool(np.any(mask))
 
 
 def _first_center(bad, center):
@@ -126,12 +106,7 @@ def _first_nonfinite(values, center):
 
 def _on_cut(v):
     """True if any value lies on the principal branch cut (-inf, 0]."""
-    if _is_np(v):
-        return bool(np.any((np.imag(v) == 0) & (np.real(v) <= 0)))
-    if _is_mp(v):
-        return v.imag == 0 and v.real <= 0
-    v = complex(v)
-    return v.imag == 0.0 and v.real <= 0.0
+    return _any((v.imag == 0) & (v.real <= 0))
 
 
 def _same_value(a, b):
@@ -250,10 +225,10 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     """
     a._check_center(b)
     u, v = a.coeffs, b.coeffs
-    if _any_zero(v[0]):
-        raise EvaluationError(
-            f"division by jet with zero value at z={_first_center(np.equal(v[0], 0), a.center)!r}"
-        )
+    zero = v[0] == 0
+    if _any(zero):
+        where = _first_center(zero, a.center)
+        raise EvaluationError(f"division by jet with zero value at z={where!r}")
     if not _is_np(a.center):
         return Jet(a.center, _quotient(u, v))
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 terms, which _quotient repairs
@@ -266,7 +241,7 @@ def _quotient(u, v):
     q1 = (u[1] - q0 * v[1]) / v[0]
     q2 = (u[2] - q0 * v[2] - 2 * q1 * v[1]) / v[0]
     q3 = (u[3] - q0 * v[3] - 3 * q1 * v[2] - 3 * q2 * v[1]) / v[0]
-    if not _any_nan(q3):  # a NaN term of any order reaches q3
+    if not _any(q3 != q3):  # a NaN term of any order reaches q3
         return q0, q1, q2, q3
     # the same operations in the same order, with each NaN term whose divisor
     # coefficient is zero set to zero, so every other bit stays the same
@@ -309,41 +284,41 @@ def _compose_derivs(g, u):
 
 def jexp(a):
     if not isinstance(a, Jet):
-        return _exp(a)
-    e = _exp(a.value)
+        return _elementary("exp", a)
+    e = _elementary("exp", a.value)
     return Jet(a.center, _compose_derivs((e, e, e, e), a.coeffs))
 
 
 def jlog(a):
     if not isinstance(a, Jet):
-        if _any_zero(a):
+        if _any(a == 0):
             raise EvaluationError("log of zero")
-        return _log(a)
+        return _elementary("log", a)
     v = a.value
     if _on_cut(v):
         raise BranchCutError(f"log jet on branch cut (-inf, 0]: value {v!r}")
-    g = (_log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
+    g = (_elementary("log", v), 1 / v, -1 / v ** 2, 2 / v ** 3)
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 
 
 def jsqrt(a):
     if not isinstance(a, Jet):
-        return _sqrt(a)
+        return _elementary("sqrt", a)
     v = a.value
     if _on_cut(v):
         raise BranchCutError(f"sqrt jet on branch cut (-inf, 0]: value {v!r}")
-    s = _sqrt(v)
+    s = _elementary("sqrt", v)
     g = (s, s / (2 * v), -s / (4 * v * v), 3 * s / (8 * v ** 3))
     return Jet(a.center, _compose_derivs(g, a.coeffs))
 
 
 def jrecip(a):
     if not isinstance(a, Jet):
-        if _any_zero(a):
+        if _any(a == 0):
             raise EvaluationError("reciprocal of zero")
         return 1 / a
     v = a.value
-    if _any_zero(v):
+    if _any(v == 0):
         raise EvaluationError("reciprocal jet at zero value")
     r = 1 / v
     g = (r, -(r ** 2), 2 * r ** 3, -6 * r ** 4)

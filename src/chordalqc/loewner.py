@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonError
-from .jets import _first_center, _is_np
+from .jets import _any, _first_center
 from .maps import ConformalMap
 from .schwarz import StripGrid, _level_sups, derivative_ratios
 
@@ -55,14 +55,10 @@ def _check_variant(variant: str):
 def _guard(den, what: str, z, t):
     """Raise HorizonError where ``|den|`` is below DENOM_FLOOR, naming the
     ``z`` and ``t`` of the first such point."""
-    if _is_np(den):
-        bad = np.abs(den) < DENOM_FLOOR
-        if not bad.any():
-            return
+    bad = abs(den) < DENOM_FLOOR
+    if _any(bad):
         z, t = _first_center(bad, z), _first_center(bad, t).real
-    elif not abs(den) < DENOM_FLOOR:
-        return
-    raise HorizonError(f"{what} below {DENOM_FLOOR} at z={z!r}, t={t!r} (horizon violated)")
+        raise HorizonError(f"{what} below {DENOM_FLOOR} at z={z!r}, t={t!r} (horizon violated)")
 
 
 @dataclass(frozen=True)
@@ -155,14 +151,14 @@ def pde_residual(h: ConformalMap, variant: str, z, t: float):
     c1, pf, sf = _terms(h, z, t)
     dt, dz = _chain_derivatives(variant, c1, pf, sf, z, t)
     p = _field_value(variant, pf, sf, z, t)
-    return np.abs(dt + p * dz) if _is_np(dt) else abs(dt + p * dz)
+    return abs(dt + p * dz)
 
 
 def _require_in_h(z, where: str):
-    re = np.real(z) if _is_np(z) else z.real
-    bad = np.any(re <= 0) if _is_np(z) else re <= 0
-    if bad:
-        raise HorizonError(f"{where}: point left the right half-plane")
+    bad = z.real <= 0
+    if _any(bad):
+        z = _first_center(bad, z)
+        raise HorizonError(f"{where}: point left the right half-plane at z={z!r}")
 
 
 def _rk4_step(field: HerglotzField, w, ti: float, hh: float):

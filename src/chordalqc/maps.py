@@ -42,11 +42,9 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, EvaluationError
 from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite
-from .jets import _first_center, _is_np
+from .jets import _any, _first_center
 
 DOMAIN_H = "H"
 DOMAIN_DISK11 = "D(1,1)"
@@ -64,10 +62,7 @@ def _as_point(z):
 def _domain_violation(domain: str, z, boundary_ok: bool):
     """Mask of the points of ``z`` outside ``domain`` (a bool for a scalar)."""
     slack = _BOUNDARY_SLACK if boundary_ok else 0.0
-    if _is_np(z):
-        re, im = np.real(z), np.imag(z)
-    else:
-        re, im = z.real, z.imag
+    re, im = z.real, z.imag
     if domain == DOMAIN_H:
         bad = re <= -slack if boundary_ok else re <= 0
     elif domain == DOMAIN_DISK11:
@@ -86,7 +81,7 @@ def _require_in_domain(domain: str, z, boundary_ok: bool, name: str, at=None):
     first such point, or the point of ``at`` in its place (the evaluation
     point, when ``z`` holds an inner map's values)."""
     bad = _domain_violation(domain, z, boundary_ok)
-    if np.any(bad) if _is_np(bad) else bad:
+    if _any(bad):
         where = _first_center(bad, z if at is None else at)
         raise DomainError(f"point outside domain {domain} of map {name!r} at z={where!r}")
 

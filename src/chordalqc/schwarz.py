@@ -28,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .jets import Jet, _any_zero
+from .jets import Jet, _any
 from .maps import ConformalMap
 
 
 def derivative_ratios(jet: Jet):
     """(Pf, Sf) at the jet's center; needs f' != 0."""
     c1, c2, c3 = jet.coeffs[1:4]
-    if _any_zero(c1):
+    if _any(c1 == 0):
         raise DegenerateSampleError("vanishing first derivative (map not locally univalent here)")
     p = c2 / c1
     s = c3 / c1 - 1.5 * p * p

@@ -154,7 +154,7 @@ def test_mu_tilde_decomposition(tmp_path):
         assert box["defect"] <= 1e-9
 
 
-def test_config_file_defaults_and_flag_priority(tmp_path):
+def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 0.25, "t-max": 0.5}))
     out = tmp_path / "h.json"
@@ -166,6 +166,22 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert run(["horizon", "--map", "identity", "--config", str(cfg), "--k", "0.4",
                 *FAST_GRID, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["k"] == 0.4
+    # an abbreviated flag wins too
+    cfg.write_text(json.dumps({"points-per-decade": 16}))
+    assert run(["horizon", "--map", "identity", "--config", str(cfg), "--points", "8",
+                "--y-count", "33", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["levels_scanned"] == 33
+    # a string value is converted like the command line's text
+    cfg.write_text(json.dumps({"k": "0.25"}))
+    assert run(["horizon", "--map", "identity", "--config", str(cfg), *FAST_GRID,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 0.25
+    # and a bad value is a usage error
+    cfg.write_text(json.dumps({"k": "abc"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["horizon", "--map", "identity", "--config", str(cfg), *FAST_GRID])
+    assert exc.value.code == 1
+    assert "argument --k: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from chordalqc.extension import (
     trace_extend,
     wirtinger_mu,
 )
-from chordalqc.loewner import VARIANTS, tau0_scan
+from chordalqc.loewner import VARIANTS, HerglotzField, family_ht, pde_residual, tau0_scan
 from chordalqc.maps import (
     DOMAIN_H,
     ConformalMap,
@@ -158,6 +159,48 @@ def test_trace_matches_extend_counterexample_grid():
     a = trace_extend(f, "schwarzian", pts)
     b = extend(f, "schwarzian", pts)
     assert float(np.max(np.abs(a - b))) <= 1e-12
+
+
+# -- carriers ---------------------------------------------------------------------
+
+LEFT, RIGHT = -0.1 + 0.7j, 0.4 - 0.3j
+
+# name -> (operation on (map, variant, point), point, result is a residual that is zero
+# in exact arithmetic)
+CARRIER_OPS = {
+    "extend-left": (extend, LEFT, False),
+    "extend-right": (extend, RIGHT, False),
+    "mu_formula": (mu_formula, LEFT, False),
+    "trace_extend": (trace_extend, LEFT, False),
+    "family_ht": (lambda h, v, z: family_ht(h, v, 0.1, z), RIGHT, False),
+    "field_p": (lambda h, v, z: HerglotzField(h, v, 0.5, 0.5).p(z, 0.1), RIGHT, False),
+    "pde_residual": (lambda h, v, z: pde_residual(h, v, z, 0.1), RIGHT, True),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("spec", ["perturbed-identity:0.3", "counterexample-f"])
+@pytest.mark.parametrize("op", sorted(CARRIER_OPS))
+def test_formulas_keep_their_carrier(op, spec, variant):
+    # a Python complex stays a Python scalar (the RK4 fast paths need it), an array
+    # stays an array and an mpmath number an mpmath number, all with the same value
+    fn, z, residual = CARRIER_OPS[op]
+    h = parse_map_spec(spec)
+    scalar = fn(h, variant, z)
+    array = fn(h, variant, np.array([z]))
+    with mpmath.workdps(30):
+        mp = fn(h, variant, mpmath.mpc(z))
+    assert type(scalar) is (float if residual else complex)
+    assert isinstance(array, np.ndarray) and array.shape == (1,)
+    assert array.dtype == (np.float64 if residual else np.complex128)
+    assert isinstance(mp, mpmath.mpf if residual else mpmath.mpc)
+    if residual:
+        assert max(scalar, float(array[0]), float(mp)) <= 1e-14
+        return
+    # cmath and numpy round exp/log/sqrt and complex division differently, so the
+    # scalar and the array element agree to rounding, not always bit for bit
+    assert abs(scalar - array[0]) <= 1e-14 * abs(scalar)
+    assert abs(complex(mp) - scalar) <= 1e-13 * abs(complex(mp))
 
 
 # -- dilatation verification --------------------------------------------------------

@@ -156,6 +156,15 @@ def test_evolve_validates_arguments():
             flow(field, 0.0, 0.5, 1.0, step=0.0)
 
 
+def test_point_outside_h_is_named():
+    field = small_field(identity())
+    for z, first in ((-1 + 0j, "(-1+0j)"), (np.array([1 + 1j, -2 + 0j, -3j]), "(-2+0j)")):
+        for flow in (evolve, evolve_trace):
+            with pytest.raises(HorizonError) as exc:
+                flow(field, 0.0, 0.01, z)
+            assert str(exc.value) == f"start point: point left the right half-plane at z={first}"
+
+
 def test_evolve_trace_consistency():
     field = small_field(perturbed_identity(0.3))
     states = evolve_trace(field, 0.0, 0.02, 1 + 1j, step=5e-3)
