@@ -7,11 +7,17 @@ over all boxes and vanishing when the per-scale maximum tends to zero
 with |I|.  Finite data cannot certify a limit, so the scan reports the
 ratio table and a configurable trend verdict, nothing stronger.
 
-Box integrals use tensor Gauss-Legendre with node doubling until the
-relative change is small.  The panel touching the axis substitutes
-x = u^2 so integrands growing like 1/x near the edge (the pre-schwarzian
-dilatation density) stay accurate; piecewise densities declare their
-breakpoints and are integrated panel by panel.
+Box integrals use one adaptive engine, _integrate_boxes: every panel
+carries a tensor Gauss-Kronrod 7/15 rule whose embedded Gauss sum gives
+the error estimate |K - G|, and a box whose summed estimate is too large
+bisects its worst panels, so refinement grades toward corner
+singularities.  The panels touching the axis are integrated in u with
+x = u^2, so integrands growing like 1/x near the edge (the
+pre-schwarzian dilatation density) stay accurate; piecewise densities
+declare their breakpoints and panels never straddle them.  Each
+refinement round evaluates the new panels of every open box of a scan
+together, at most CALL_NODES nodes per density call, and a box that
+needs more than MAX_PANELS panels raises QuadratureError.
 
 Densities provided:
 
@@ -23,8 +29,8 @@ Densities provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,11 +44,34 @@ DEFAULT_SCALES = tuple(2.0 ** (-j) for j in range(11))
 DEFAULT_POSITIONS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
 DEFAULT_VANISH_THRESHOLD = 0.05
 
-# node doubling: Gauss-Legendre nodes per axis and panel from N_START up to
-# N_MAX, until successive estimates differ by at most rel_tol*|est| + ABS_TOL
-N_START = 32
-N_MAX = 512
+# acceptance: a box is done when its summed error estimates are at most
+# rel_tol*|estimate| + ABS_TOL; it fails once it would need more than MAX_PANELS
+# panels; one density call evaluates at most CALL_NODES nodes
 ABS_TOL = 1e-15
+MAX_PANELS = 1024
+CALL_NODES = 2 ** 16
+
+# QUADPACK's 15-point Gauss-Kronrod table on [-1, 1] (dqk15; Laurie, Math. Comp.
+# 66, 1997): nonnegative nodes from 0.99 down to 0, their Kronrod weights, and
+# the weights of the embedded 7-point Gauss rule at _XK_HALF[1::2]
+_XK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WK_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+_XK = np.concatenate((-_XK_HALF[:-1], _XK_HALF[::-1]))
+_WK = np.concatenate((_WK_HALF[:-1], _WK_HALF[::-1]))
+_WG = np.zeros(_XK.size)
+_WG[1::2] = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
+_PANELS_PER_CALL = CALL_NODES // _XK.size ** 2
 
 
 @dataclass(frozen=True)
@@ -65,68 +94,98 @@ class Density:
             raise ValueError(f"side must be 'H' or 'H*', got {self.side!r}")
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _axis_rule(a, b, in_u):
+    """Nodes and Kronrod and Gauss weights, shape (P, 15), on the panels (a, b)
+    of one axis; where in_u, (a, b) is a range of u and the nodes are x = u^2."""
+    half = 0.5 * (b - a)[:, None]
+    t = 0.5 * (a + b)[:, None] + half * _XK
+    jac = np.where(in_u[:, None], 2.0 * t, 1.0) * half
+    return np.where(in_u[:, None], t * t, t), jac * _WK, jac * _WG
 
 
-def _panel_nodes(a: float, b: float, n: int, sqrt_edge: bool):
-    """Nodes/weights on (a, b); with sqrt_edge, substitute x = u^2 (a == 0)."""
-    u, w = _leggauss(n)
-    if sqrt_edge:
-        r = np.sqrt(b)
-        uu = 0.5 * r * (u + 1.0)
-        return uu * uu, w * (0.5 * r) * 2.0 * uu
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * u, w * half
+def _panel_sums(density: Density, panels: list):
+    """Tensor Kronrod sums and their errors |K - G| on the panels
+    (box, xa, xb, ya, yb, in_u), at most CALL_NODES nodes per density call.
+
+    Each panel is reduced on its own, so its bits do not depend on the
+    panels that share its call."""
+    geo = np.array([p[1:5] for p in panels])
+    xs, wxk, wxg = _axis_rule(geo[:, 0], geo[:, 1], np.array([p[5] for p in panels]))
+    ys, wyk, wyg = _axis_rule(geo[:, 2], geo[:, 3], np.zeros(len(panels), dtype=bool))
+    sign = -1.0 if density.side == "H*" else 1.0
+    k, err = [], []
+    for lo in range(0, len(panels), _PANELS_PER_CALL):
+        c = slice(lo, lo + _PANELS_PER_CALL)
+        vals = np.asarray(density.evaluator(sign * xs[c, :, None] + 1j * ys[c, None, :]),
+                          dtype=float)
+        kc = np.sum(vals * (wxk[c, :, None] * wyk[c, None, :]), axis=(1, 2))
+        gc = np.sum(vals * (wxg[c, :, None] * wyg[c, None, :]), axis=(1, 2))
+        k.extend(kc.tolist())
+        err.extend(np.abs(kc - gc).tolist())
+    return k, err
 
 
-def _tensor_sum(density: Density, x_edges: list, y_edges: list, n: int) -> float:
-    """Tensor Gauss-Legendre sum with n nodes per axis on every panel; a
-    panel starting at the axis (x = 0) is integrated in u with x = u^2."""
-    total = 0.0
-    for i in range(len(x_edges) - 1):
-        xnodes, xweights = _panel_nodes(x_edges[i], x_edges[i + 1], n,
-                                        sqrt_edge=(x_edges[i] == 0.0))
-        for j in range(len(y_edges) - 1):
-            ynodes, yweights = _panel_nodes(y_edges[j], y_edges[j + 1], n, sqrt_edge=False)
-            if density.side == "H*":
-                pts = -xnodes[:, None] + 1j * ynodes[None, :]
-            else:
-                pts = xnodes[:, None] + 1j * ynodes[None, :]
-            vals = np.asarray(density.evaluator(pts), dtype=float)
-            total += float(xweights @ vals @ yweights)
-    return total
+def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
+    """Integrals of the density over the boxes (center_y, length, x_lo, x_hi),
+    that is x_lo < |Re z| < x_hi and |Im z - center_y| < length/2.
 
-
-def _box_integral(density: Density, center_y: float, length: float,
-                  x_lo: float, x_hi: float, rel_tol: float) -> float:
-    """Integral of the density over x_lo < |Re z| < x_hi and
-    |Im z - center_y| < length/2, converged by node doubling."""
-    y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
-    y_edges = [y_lo] + sorted(b for b in density.y_breakpoints if y_lo < b < y_hi) + [y_hi]
-    x_edges = [x_lo] + sorted(b for b in density.x_breakpoints if x_lo < b < x_hi) + [x_hi]
-    history = []
-    n = N_START
-    while n <= N_MAX:
-        est = _tensor_sum(density, x_edges, y_edges, n)
-        if history and abs(est - history[-1][1]) <= rel_tol * abs(est) + ABS_TOL:
-            return est
-        history.append((n, est))
-        n *= 2
-    tail = ", ".join(f"{e!r} (n={m})" for m, e in history[-2:])
-    raise QuadratureError(
-        f"box integral did not converge for {density.name!r} at center_y={center_y}, "
-        f"|I|={length}, x in ({x_lo}, {x_hi}); last estimates {tail}"
-    )
+    Panels split at the breakpoints carry a tensor Gauss-Kronrod 7/15 rule; a
+    panel starting at the axis (x = 0) is a panel in u with x = u^2, and so are
+    its children.  A box is done when the sum of its |K - G| is at most
+    rel_tol*|sum K| + ABS_TOL; otherwise every panel whose error exceeds an
+    equal share of that tolerance (at least the worst one) is bisected in both
+    directions.  Each round evaluates the new panels of all open boxes
+    together; a box that would need more than MAX_PANELS panels raises
+    QuadratureError."""
+    new = []
+    for b, (center_y, length, x_lo, x_hi) in enumerate(boxes):
+        y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
+        ys = [y_lo] + sorted(v for v in density.y_breakpoints if y_lo < v < y_hi) + [y_hi]
+        xs = [x_lo] + sorted(v for v in density.x_breakpoints if x_lo < v < x_hi) + [x_hi]
+        for xa, xb in zip(xs, xs[1:]):
+            in_u = xa == 0.0
+            for ya, yb in zip(ys, ys[1:]):
+                new.append((b, xa, math.sqrt(xb) if in_u else xb, ya, yb, in_u))
+    live = [[] for _ in boxes]  # per box: (K, |K - G|, panel)
+    result = np.zeros(len(boxes))
+    while new:
+        for p, k, err in zip(new, *_panel_sums(density, new)):
+            live[p[0]].append((k, err, p))
+        open_boxes = sorted({p[0] for p in new})
+        new = []
+        for b in open_boxes:
+            est = math.fsum(k for k, _, _ in live[b])
+            err = math.fsum(e for _, e, _ in live[b])
+            tol = rel_tol * abs(est) + ABS_TOL
+            if err <= tol:
+                result[b] = est
+                continue
+            share = tol / len(live[b])
+            keep, split = [], []
+            for q in live[b]:
+                (split if q[1] > share else keep).append(q)
+            # nothing to split: the estimate or an error estimate is NaN
+            if not split or len(live[b]) + 3 * len(split) > MAX_PANELS:
+                center_y, length, x_lo, x_hi = boxes[b]
+                raise QuadratureError(
+                    f"box integral did not converge for {density.name!r} at "
+                    f"center_y={center_y}, |I|={length}, x in ({x_lo}, {x_hi}): "
+                    f"estimate {est!r}, error estimate {err!r} on {len(live[b])} panels"
+                )
+            live[b] = keep
+            for _, _, (_, xa, xb, ya, yb, in_u) in split:
+                xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+                new += [(b, xa, xm, ya, ym, in_u), (b, xa, xm, ym, yb, in_u),
+                        (b, xm, xb, ya, ym, in_u), (b, xm, xb, ym, yb, in_u)]
+    return result
 
 
 def box_ratio(density: Density, center_y: float, length: float, rel_tol: float = 1e-6) -> float:
     """lambda(box)/|I| for the box at i*center_y with side |I| = length,
-    converged by node doubling to the requested relative change."""
+    converged to the requested relative error estimate."""
     if length <= 0:
         raise ValueError("interval length must be positive")
-    return _box_integral(density, center_y, length, 0.0, length, rel_tol) / length
+    return _integrate_boxes(density, [(center_y, length, 0.0, length)], rel_tol)[0] / length
 
 
 @dataclass(frozen=True)
@@ -185,10 +244,9 @@ def carleson_scan(
     positions = tuple(float(p) for p in (positions or DEFAULT_POSITIONS))
     if not scales:
         raise ValueError("need at least one scale")
-    table = np.zeros((len(scales), len(positions)))
-    for i, sc in enumerate(scales):
-        for j, cy in enumerate(positions):
-            table[i, j] = box_ratio(density, cy, sc, rel_tol=rel_tol)
+    boxes = [(cy, sc, 0.0, sc) for sc in scales for cy in positions]
+    mass = _integrate_boxes(density, boxes, rel_tol).reshape(len(scales), len(positions))
+    table = mass / np.array(scales)[:, None]
     return CarlesonReport(density.name, scales, positions, table, vanish_threshold)
 
 
@@ -298,7 +356,8 @@ def bigbox_decomposition(
 
     x_in = min(t, length)
     inner_density = Density("bigbox-inner", "H", _inner)
-    inner_term = _box_integral(inner_density, center_y, length, 0.0, x_in, rel_tol) / length
+    inner_term = _integrate_boxes(inner_density, [(center_y, length, 0.0, x_in)],
+                                  rel_tol)[0] / length
 
     if length > t:
         if outer is None:
@@ -309,8 +368,8 @@ def bigbox_decomposition(
                 return np.abs(m) ** 2 / (-2.0 * np.real(z))
 
             outer_density = Density("bigbox-outer", "H*", _outer)
-            outer_term = _box_integral(outer_density, center_y, length, t, length,
-                                       rel_tol) / length
+            outer_term = _integrate_boxes(outer_density, [(center_y, length, t, length)],
+                                          rel_tol)[0] / length
     else:
         outer_term = 0.0
     return BigBoxSplit(length, center_y, total, inner_term, outer_term)

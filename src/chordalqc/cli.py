@@ -152,7 +152,9 @@ def _add_variant(p: argparse.ArgumentParser):
     )
 
 
-def build_parser() -> _Parser:
+def build_parser(required: bool = True) -> _Parser:
+    """The CLI parser; ``required=False`` leaves out the required-flag check,
+    for the parse that looks for ``--config`` (the file may supply them)."""
     top = _Parser(prog="chordalqc", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -162,20 +164,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="order-3 jet of a map at points",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True, help="map spec")
-    p.add_argument("--z", required=True, help="semicolon-separated points, re+imi")
+    p.add_argument("--map", required=required, help="map spec")
+    p.add_argument("--z", required=required, help="semicolon-separated points, re+imi")
     _add_common(p)
 
     p = sub.add_parser("norms", help="beta/sigma strip-norm profile",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
-    p.add_argument("--t", required=True, help="comma-separated decreasing t values")
+    p.add_argument("--map", required=required)
+    p.add_argument("--t", required=required, help="comma-separated decreasing t values")
     _add_grid(p)
     _add_common(p)
 
     p = sub.add_parser("horizon", help="largest grid-certified horizon at level k",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--t-max", type=float, default=1.0, help="scan range maximum")
@@ -184,12 +186,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="RK4 trace of the evolution flow",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--s", type=float, default=0.0, help="start time")
-    p.add_argument("--t", type=float, required=True, help="end time")
-    p.add_argument("--z", required=True, help="start point, re+imi")
+    p.add_argument("--t", type=float, required=required, help="end time")
+    p.add_argument("--z", required=required, help="start point, re+imi")
     p.add_argument("--step", type=float, default=1e-3, help="RK4 step")
     p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
@@ -197,7 +199,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pde-check", help="closed-form Loewner PDE residuals at random samples",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -209,9 +211,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extend", help="extension values over the imaginary axis",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
-    p.add_argument("--z", required=True, help="semicolon-separated points")
+    p.add_argument("--z", required=required, help="semicolon-separated points")
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
@@ -219,7 +221,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-mu", help="dilatation identity and bound over the strip",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--fd-step", type=float, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
@@ -237,7 +239,7 @@ def build_parser() -> _Parser:
                        "and use the same jet, so this guards the algebra of the two formulas; "
                        "it is not independent numerical evidence for the extension.",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--tol", type=float, default=1e-12, help="equality tolerance")
@@ -249,7 +251,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("carleson", help="Carleson box-ratio scan of a density",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="level for the mu-density horizon")
@@ -263,7 +265,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mu-tilde", help="composite dilatation box decomposition",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", required=required)
     p.add_argument("--t", type=float, default=None, help="strip width (default: horizon at --k)")
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
@@ -275,6 +277,14 @@ def build_parser() -> _Parser:
     _add_common(p, fmt_choices=())
 
     return top
+
+
+def _has_config(argv) -> bool:
+    """Whether ``argv`` names a ``--config`` file; a parser that knows only that
+    flag finds it, so a required flag the file supplies is not missed yet."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    return pre.parse_known_args(argv)[0].config is not None
 
 
 def _config_argv(ns: argparse.Namespace, argv) -> list:
@@ -538,11 +548,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        if ns.config:
-            ns = parser.parse_args(_config_argv(ns, argv))
+        if _has_config(argv):
+            argv = _config_argv(build_parser(required=False).parse_args(argv), argv)
+        ns = build_parser().parse_args(argv)
         return _HANDLERS[ns.command](ns)
     except HorizonError as exc:
         sys.stderr.write(f"chordalqc: {exc}\n")

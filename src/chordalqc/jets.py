@@ -56,6 +56,8 @@ def _is_mp(v):
 def _elementary(name, v):
     """``name`` ("exp", "log" or "sqrt") of ``v``, on the principal branch of
     its carrier: numpy, mpmath or cmath."""
+    if type(v) is complex:  # the scalar RK4 carrier
+        return getattr(cmath, name)(v)
     if _is_np(v):
         return getattr(np, name)(v)
     if _is_mp(v):

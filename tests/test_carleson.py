@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chordalqc.carleson import (
+    CALL_NODES,
     Density,
     bigbox_decomposition,
     box_ratio,
@@ -15,7 +17,7 @@ from chordalqc.carleson import (
 )
 from chordalqc.errors import EvaluationError, QuadratureError
 from chordalqc.extension import mu_formula
-from chordalqc.maps import identity, perturbed_identity
+from chordalqc.maps import half_strip_g, identity, perturbed_identity
 from chordalqc.schwarz import StripGrid, derivative_ratios
 
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
@@ -57,6 +59,56 @@ def test_quadrature_error_without_breakpoints():
     d = Density("rough", "H", _eval)
     with pytest.raises(QuadratureError, match=r"x in \(0\.0, 2\.0\)"):
         box_ratio(d, 0.0, 2.0)
+
+
+# 1/|z| on H is homogeneous of degree -1: every box centered at 0 has this
+# ratio, with the singularity at the middle of the box's axis edge
+INV_ABS_RATIO = 2 * math.asinh(0.5) + math.asinh(2.0)
+
+
+def test_corner_singular_density_oracle():
+    d = Density("inv-abs", "H", lambda z: 1.0 / np.abs(z))
+    rep = carleson_scan(d, scales=[2.0 ** (-j) for j in range(11)], positions=[0.0])
+    assert np.all(np.abs(rep.ratios - INV_ABS_RATIO) <= 1e-6 * INV_ABS_RATIO)
+
+
+def test_half_strip_g_box_matches_mpmath():
+    # Ph has a pole at z = 0, the middle of the box's axis edge; the reference is
+    # mpmath.quad of 2x|Ph|^2 split at x = 1/4 and y = 0
+    want = 4.7310749207466
+    got = box_ratio(vmoa_density(half_strip_g()), 0.0, 1.0)
+    assert abs(got - want) <= 1e-6 * want
+
+
+def _counted(density):
+    sizes = []
+
+    def _eval(z):
+        sizes.append(np.size(z))
+        return density.evaluator(z)
+
+    return dataclasses.replace(density, evaluator=_eval), sizes
+
+
+def _assert_scan_matches_box_ratio(density, rep):
+    for scale, center_y, ratio in rep.rows():
+        assert abs(box_ratio(density, center_y, scale) - ratio) <= 1e-14 * ratio
+
+
+def test_scan_batches_density_calls():
+    # the default 11 x 9 scan: every box is done on its first panel, all in one call
+    dens, sizes = _counted(vmoa_density(perturbed_identity(0.3)))
+    rep = carleson_scan(dens)
+    assert len(sizes) == 1
+    _assert_scan_matches_box_ratio(dens, rep)
+    # 3 x 101 boxes: the first round alone holds more than one call's nodes,
+    # and the boxes around 0 refine toward the singularity over further rounds
+    dens, sizes = _counted(Density("inv-abs", "H", lambda z: 1.0 / np.abs(z)))
+    rep = carleson_scan(dens, scales=[1.0, 0.5, 0.25],
+                        positions=[0.125 * j for j in range(-50, 51)])
+    assert sum(sizes) > CALL_NODES and len(sizes) > 2
+    assert max(sizes) <= CALL_NODES
+    _assert_scan_matches_box_ratio(dens, rep)
 
 
 def test_scan_zero_density_vanishing():

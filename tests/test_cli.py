@@ -182,6 +182,18 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
         run(["horizon", "--map", "identity", "--config", str(cfg), *FAST_GRID])
     assert exc.value.code == 1
     assert "argument --k: invalid float value: 'abc'" in capsys.readouterr().err
+    # the file may supply required flags: the same bytes as the flags given directly
+    cfg.write_text(json.dumps({"map": "identity", "z": "1+1i"}))
+    assert run(["eval", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["eval", "--map", "identity", "--z", "1+1i"]) == 0
+    assert capsys.readouterr().out == from_file
+    # a required flag missing from both the file and the command line
+    cfg.write_text(json.dumps({"map": "identity"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --z" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):
