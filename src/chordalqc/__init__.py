@@ -30,8 +30,6 @@ from .schwarz import (
     NormProfile,
     StripGrid,
     norm_profile,
-    pre_schwarzian,
-    schwarzian,
 )
 from .loewner import (
     EvolutionState,

@@ -280,28 +280,24 @@ def mu_density(h: ConformalMap, variant: str, tau: float) -> Density:
 
 
 def composite_mu_tilde(h: ConformalMap, t: float, outer=None):
-    """Piecewise dilatation on H*: the closed schwarzian form on
-    -t <= Re z < 0, the supplied outer field shifted by t beyond."""
+    """Piecewise dilatation on complex arrays of H* points: the closed schwarzian
+    form on -t <= Re z < 0, the supplied outer field shifted by t beyond."""
     if t <= 0:
         raise ValueError("strip width t must be positive")
 
     def _field(z):
-        scalar = not isinstance(z, np.ndarray)
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        x = zz.real
+        x = z.real
         if np.any(x >= 0):
             raise EvaluationError("composite dilatation lives on Re z < 0")
         inner = x >= -t
-        out = np.zeros(zz.shape, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
         if inner.any():
-            out[inner] = mu_formula(h, VARIANT_SCHWARZIAN, zz[inner])
+            out[inner] = mu_formula(h, VARIANT_SCHWARZIAN, z[inner])
         if (~inner).any():
             if outer is None:
                 raise EvaluationError(f"outer extension not configured for Re z < {-t}")
-            out[~inner] = outer(zz[~inner] + t)
-        if scalar:
-            return complex(out.reshape(-1)[0])
-        return out.reshape(np.shape(z))
+            out[~inner] = outer(z[~inner] + t)
+        return out
 
     return _field
 

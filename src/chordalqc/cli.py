@@ -1,7 +1,8 @@
 """Deterministic command-line front end.
 
-Every subcommand delegates to one library operation and writes a CSV or
-JSON report: identical configuration produces byte-identical output.
+Every subcommand delegates to one library operation and returns a CSV or
+JSON report that :func:`main` alone writes: identical configuration
+produces byte-identical output.
 Exit codes: 0 success/PASS, 2 computed FAIL (a bound violated, no
 horizon at the requested level), 1 usage or evaluation error.
 
@@ -50,6 +51,10 @@ def _atomic_write(text: str, path: str | None):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file the mode open(path, "w") gives a new one
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,6 +124,17 @@ def _complex_list(text: str):
     return [parse_complex(part) for part in text.split(";") if part.strip()]
 
 
+def _number_list(text: str) -> list:
+    """Comma-separated numbers, blank items skipped: an argparse ``type``."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
 def _grid_from(ns) -> StripGrid:
     return StripGrid(
         x_min=ns.x_min,
@@ -158,25 +174,25 @@ def build_parser(required: bool = True) -> _Parser:
     top = _Parser(prog="chordalqc", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("maps-list", help="list catalog map specs",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def add(name, **kwargs):  # each subcommand's help lists its defaults
+        return sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+    p = add("maps-list", help="list catalog map specs")
     _add_common(p, fmt_choices=("text", "json"), fmt_default="text")
 
-    p = sub.add_parser("eval", help="order-3 jet of a map at points",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("eval", help="order-3 jet of a map at points")
     p.add_argument("--map", required=required, help="map spec")
     p.add_argument("--z", required=required, help="semicolon-separated points, re+imi")
     _add_common(p)
 
-    p = sub.add_parser("norms", help="beta/sigma strip-norm profile",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("norms", help="beta/sigma strip-norm profile")
     p.add_argument("--map", required=required)
-    p.add_argument("--t", required=required, help="comma-separated decreasing t values")
+    p.add_argument("--t", type=_number_list, required=required,
+                   help="comma-separated decreasing t values")
     _add_grid(p)
     _add_common(p)
 
-    p = sub.add_parser("horizon", help="largest grid-certified horizon at level k",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("horizon", help="largest grid-certified horizon at level k")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
@@ -184,8 +200,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p, fmt_default="json")
 
-    p = sub.add_parser("evolve", help="RK4 trace of the evolution flow",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("evolve", help="RK4 trace of the evolution flow")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
@@ -197,8 +212,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p)
 
-    p = sub.add_parser("pde-check", help="closed-form Loewner PDE residuals at random samples",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("pde-check", help="closed-form Loewner PDE residuals at random samples")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
@@ -209,8 +223,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
-    p = sub.add_parser("extend", help="extension values over the imaginary axis",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("extend", help="extension values over the imaginary axis")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--z", required=required, help="semicolon-separated points")
@@ -219,8 +232,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p)
 
-    p = sub.add_parser("verify-mu", help="dilatation identity and bound over the strip",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("verify-mu", help="dilatation identity and bound over the strip")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
@@ -233,12 +245,11 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
-    p = sub.add_parser("trace-check", help="chain-trace vs closed-form extension equality",
-                       description="Compare the chain member h_t at t = -Re z, evaluated at "
-                       "i Im z, with the closed-form extension at z.  Both code one identity "
-                       "and use the same jet, so this guards the algebra of the two formulas; "
-                       "it is not independent numerical evidence for the extension.",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("trace-check", help="chain-trace vs closed-form extension equality",
+            description="Compare the chain member h_t at t = -Re z, evaluated at "
+            "i Im z, with the closed-form extension at z.  Both code one identity "
+            "and use the same jet, so this guards the algebra of the two formulas; "
+            "it is not independent numerical evidence for the extension.")
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
@@ -249,28 +260,27 @@ def build_parser(required: bool = True) -> _Parser:
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
-    p = sub.add_parser("carleson", help="Carleson box-ratio scan of a density",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("carleson", help="Carleson box-ratio scan of a density")
     p.add_argument("--map", required=required)
     p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
     _add_variant(p)
     p.add_argument("--k", type=float, default=0.5, help="level for the mu-density horizon")
     p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
-    p.add_argument("--scales", default=None, help="comma-separated |I| values (default dyadic 1..2^-10)")
-    p.add_argument("--positions", default=None, help="comma-separated center_y values")
+    p.add_argument("--scales", type=_number_list, default=None,
+                   help="comma-separated |I| values (default dyadic 1..2^-10)")
+    p.add_argument("--positions", type=_number_list, default=None, help="comma-separated center_y values")
     p.add_argument("--rel-tol", type=float, default=1e-6, help="quadrature relative tolerance")
     p.add_argument("--threshold", type=float, default=carleson_mod.DEFAULT_VANISH_THRESHOLD, help="vanishing verdict threshold (fraction of the norm estimate)")
     _add_grid(p)
     _add_common(p)
 
-    p = sub.add_parser("mu-tilde", help="composite dilatation box decomposition",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("mu-tilde", help="composite dilatation box decomposition")
     p.add_argument("--map", required=required)
     p.add_argument("--t", type=float, default=None, help="strip width (default: horizon at --k)")
     p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
                    help="outer dilatation beyond the strip")
-    p.add_argument("--scales", default=None, help="comma-separated |I| values")
+    p.add_argument("--scales", type=_number_list, default=None, help="comma-separated |I| values")
     p.add_argument("--center-y", type=float, default=0.0, help="box center on the imaginary axis")
     p.add_argument("--rel-tol", type=float, default=1e-8, help="quadrature relative tolerance")
     _add_grid(p)
@@ -290,8 +300,8 @@ def _has_config(argv) -> bool:
 def _config_argv(ns: argparse.Namespace, argv) -> list:
     """``argv`` with the ``--config`` file's flags placed after the subcommand,
     ahead of the command line's own, so that argparse converts and checks each
-    value and an explicit flag wins.  ``true`` is a bare flag and ``false`` no
-    flag; keys that name no flag of the subcommand are ignored."""
+    value and an explicit flag wins.  ``true`` is a bare flag, ``false`` and
+    ``null`` no flag; keys that name no flag of the subcommand are ignored."""
     with open(ns.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
@@ -299,7 +309,7 @@ def _config_argv(ns: argparse.Namespace, argv) -> list:
     flags = []
     for key, value in overrides.items():
         dest = key.lstrip("-").replace("-", "_")
-        if value is not False and dest != "command" and hasattr(ns, dest):
+        if value is not False and value is not None and dest != "command" and hasattr(ns, dest):
             flag = "--" + dest.replace("_", "-")
             flags.append(flag if value is True else f"{flag}={value}")
     cut = argv.index(ns.command) + 1
@@ -307,80 +317,56 @@ def _config_argv(ns: argparse.Namespace, argv) -> list:
 
 
 # -- handlers ----------------------------------------------------------------
+# Each returns (report, exit code): a JSON document, (header, rows) for CSV, or text.
 
 
-def _cmd_maps_list(ns) -> int:
+def _cmd_maps_list(ns):
     if ns.format == "json":
-        doc = [{"spec": s, "description": d} for s, d in CATALOG_SPECS]
-        _atomic_write(_json_doc(doc), ns.out)
-    else:
-        width = max(len(s) for s, _ in CATALOG_SPECS)
-        lines = [f"{s.ljust(width)}  {d}" for s, d in CATALOG_SPECS]
-        _atomic_write("\n".join(lines) + "\n", ns.out)
-    return 0
+        return [{"spec": s, "description": d} for s, d in CATALOG_SPECS], 0
+    width = max(len(s) for s, _ in CATALOG_SPECS)
+    return "".join(f"{s.ljust(width)}  {d}\n" for s, d in CATALOG_SPECS), 0
 
 
-def _cmd_eval(ns) -> int:
+def _cmd_eval(ns):
     m = parse_map_spec(ns.map)
-    points = _complex_list(ns.z)
-    rows = []
-    for z in points:
-        jet = m.jet(z)
-        row = [z.real, z.imag]
-        for c in jet.coeffs:
-            c = complex(c)
-            row.extend((c.real, c.imag))
-        rows.append(row)
-    header = ["z_re", "z_im"]
-    for k in range(ORDER + 1):
-        header.extend((f"c{k}_re", f"c{k}_im"))
-    if ns.format == "json":
-        doc = [
-            {"z": r[:2], "coeffs": [r[2 + 2 * k:4 + 2 * k] for k in range(ORDER + 1)]}
-            for r in rows
-        ]
-        _atomic_write(_json_doc({"map": m.name, "jets": doc}), ns.out)
-    else:
-        _atomic_write(_csv(header, rows), ns.out)
-    return 0
+    jets = [(z, [complex(c) for c in m.jet(z).coeffs]) for z in _complex_list(ns.z)]
+    if ns.format == "csv":
+        header = ["z_re", "z_im", *(f"c{k}_{p}" for k in range(ORDER + 1) for p in ("re", "im"))]
+        return (header, [[z.real, z.imag, *(p for c in cs for p in (c.real, c.imag))]
+                         for z, cs in jets]), 0
+    doc = [{"z": [z.real, z.imag], "coeffs": [[c.real, c.imag] for c in cs]} for z, cs in jets]
+    return {"map": m.name, "jets": doc}, 0
 
 
-def _cmd_norms(ns) -> int:
+def _cmd_norms(ns):
     m = parse_map_spec(ns.map)
-    ts = [float(v) for v in ns.t.split(",") if v.strip()]
-    profile = norm_profile(m, ts, grid=_grid_from(ns))
-    if ns.format == "json":
-        doc = {
-            "map": m.name,
-            "t": list(profile.t_values),
-            "beta": list(profile.beta),
-            "sigma": list(profile.sigma),
-        }
-        _atomic_write(_json_doc(doc), ns.out)
-    else:
-        _atomic_write(_csv(NormProfile.CSV_HEADER, profile.rows()), ns.out)
-    return 0
+    profile = norm_profile(m, ns.t, grid=_grid_from(ns))
+    if ns.format == "csv":
+        return (NormProfile.CSV_HEADER, profile.rows()), 0
+    return {
+        "map": m.name,
+        "t": list(profile.t_values),
+        "beta": list(profile.beta),
+        "sigma": list(profile.sigma),
+    }, 0
 
 
-def _cmd_horizon(ns) -> int:
+def _cmd_horizon(ns):
     m = parse_map_spec(ns.map)
     try:
         res = loewner_mod.tau0_scan(m, ns.variant, ns.k, grid=_grid_from(ns), t_max=ns.t_max)
     except HorizonError as exc:
-        _atomic_write(_json_doc({"map": m.name, "variant": ns.variant, "k": ns.k,
-                                 "error": str(exc)}), ns.out)
-        return _FAIL_EXIT
+        # JSON under --format csv too: the failure document has no rows
+        return {"map": m.name, "variant": ns.variant, "k": ns.k, "error": str(exc)}, _FAIL_EXIT
     if ns.format == "csv":
-        _atomic_write(_csv(res.CSV_HEADER, res.profile_rows()), ns.out)
-    else:
-        _atomic_write(_json_doc({
-            "map": m.name,
-            "variant": ns.variant,
-            "k": ns.k,
-            "t_star": res.t_star,
-            "levels_scanned": int(res.x_levels.size),
-        }), ns.out)
-    return 0
+        return (res.CSV_HEADER, res.profile_rows()), 0
+    return {
+        "map": m.name,
+        "variant": ns.variant,
+        "k": ns.k,
+        "t_star": res.t_star,
+        "levels_scanned": int(res.x_levels.size),
+    }, 0
 
 
 def _horizon_for(ns, m, variant=None):
@@ -391,13 +377,9 @@ def _horizon_for(ns, m, variant=None):
     return loewner_mod.tau0_scan(m, variant or ns.variant, ns.k, grid=_grid_from(ns)).t_star
 
 
-def _field_for(ns, m):
-    return loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
-
-
-def _cmd_evolve(ns) -> int:
+def _cmd_evolve(ns):
     m = parse_map_spec(ns.map)
-    field = _field_for(ns, m)
+    field = loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
     z0 = parse_complex(ns.z)
     states = loewner_mod.evolve_trace(field, ns.s, ns.t, z0, step=ns.step)
     rows = [
@@ -406,22 +388,19 @@ def _cmd_evolve(ns) -> int:
         for st in states
     ]
     header = ("s", "t", "z0_re", "z0_im", "z_re", "z_im", "step", "residual_estimate")
-    if ns.format == "json":
-        doc = {"map": m.name, "variant": ns.variant, "k": ns.k, "tau": field.tau0,
-               "trace": [dict(zip(header, r)) for r in rows]}
-        _atomic_write(_json_doc(doc), ns.out)
-    else:
-        _atomic_write(_csv(header, rows), ns.out)
-    return 0
+    if ns.format == "csv":
+        return (header, rows), 0
+    return {"map": m.name, "variant": ns.variant, "k": ns.k, "tau": field.tau0,
+            "trace": [dict(zip(header, r)) for r in rows]}, 0
 
 
-def _cmd_pde_check(ns) -> int:
+def _cmd_pde_check(ns):
     if ns.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
     if not (np.isfinite(ns.t_cap) and ns.t_cap >= 0):
         raise ValueError(f"--t-cap must be finite and nonnegative, got {ns.t_cap}")
     m = parse_map_spec(ns.map)
-    field = _field_for(ns, m)
+    field = loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
     rng = np.random.default_rng(ns.seed)
     n = ns.samples
     z = rng.uniform(0.01, 5.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
@@ -429,14 +408,13 @@ def _cmd_pde_check(ns) -> int:
     ts = rng.uniform(0.0, t_hi, n)
     worst = float(np.max(loewner_mod.pde_residual(m, ns.variant, z, ts)))
     passed = worst <= ns.tol
-    _atomic_write(_json_doc({
+    return {
         "map": m.name, "variant": ns.variant, "samples": n, "seed": ns.seed,
         "t_cap": t_hi, "max_residual": worst, "tol": ns.tol, "pass": passed,
-    }), ns.out)
-    return 0 if passed else _FAIL_EXIT
+    }, 0 if passed else _FAIL_EXIT
 
 
-def _cmd_extend(ns) -> int:
+def _cmd_extend(ns):
     m = parse_map_spec(ns.map)
     tau = _horizon_for(ns, m)
     rows = []
@@ -444,27 +422,23 @@ def _cmd_extend(ns) -> int:
         v = complex(ext_mod.extend(m, ns.variant, z, tau=tau))
         rows.append((z.real, z.imag, v.real, v.imag))
     header = ("z_re", "z_im", "value_re", "value_im")
-    if ns.format == "json":
-        doc = {"map": m.name, "variant": ns.variant, "tau": tau,
-               "values": [dict(zip(header, r)) for r in rows]}
-        _atomic_write(_json_doc(doc), ns.out)
-    else:
-        _atomic_write(_csv(header, rows), ns.out)
-    return 0
+    if ns.format == "csv":
+        return (header, rows), 0
+    return {"map": m.name, "variant": ns.variant, "tau": tau,
+            "values": [dict(zip(header, r)) for r in rows]}, 0
 
 
-def _cmd_verify_mu(ns) -> int:
+def _cmd_verify_mu(ns):
     m = parse_map_spec(ns.map)
     report = ext_mod.qc_report(
         m, ns.variant, _horizon_for(ns, m), k=ns.k, fd_step=ns.fd_step,
         fd_tolerance=ns.fd_tol, grid=_grid_from(ns), nx=ns.nx, ny=ns.ny,
     )
     doc = report.to_json_dict(include_samples=False) if ns.summary_only else report
-    _atomic_write(_json_doc(doc), ns.out)
-    return 0 if report.passed else _FAIL_EXIT
+    return doc, 0 if report.passed else _FAIL_EXIT
 
 
-def _cmd_trace_check(ns) -> int:
+def _cmd_trace_check(ns):
     m = parse_map_spec(ns.map)
     tau = _horizon_for(ns, m)
     # pull the deepest level just inside the horizon
@@ -480,17 +454,15 @@ def _cmd_trace_check(ns) -> int:
     _run_blocks(run, *pts.shape)
     worst = float(np.max(level_max))
     passed = worst <= ns.tol
-    _atomic_write(_json_doc({
+    return {
         "map": m.name, "variant": ns.variant, "tau": tau,
         "points": int(pts.size), "max_difference": worst, "tol": ns.tol, "pass": passed,
-    }), ns.out)
-    return 0 if passed else _FAIL_EXIT
+    }, 0 if passed else _FAIL_EXIT
 
 
-def _cmd_carleson(ns) -> int:
+def _cmd_carleson(ns):
     m = parse_map_spec(ns.map)
-    scales = [float(v) for v in ns.scales.split(",")] if ns.scales else None
-    positions = [float(v) for v in ns.positions.split(",")] if ns.positions else None
+    scales = ns.scales
     if ns.density == "vmoa":
         dens = carleson_mod.vmoa_density(m)
     else:
@@ -502,23 +474,20 @@ def _cmd_carleson(ns) -> int:
             if not scales:
                 raise HorizonError(f"horizon {tau} smaller than every default scale")
     report = carleson_mod.carleson_scan(
-        dens, scales=scales, positions=positions,
+        dens, scales=scales, positions=ns.positions,
         rel_tol=ns.rel_tol, vanish_threshold=ns.threshold,
     )
-    if ns.format == "json":
-        _atomic_write(_json_doc(report.summary()), ns.out)
-    else:
-        _atomic_write(_csv(report.CSV_HEADER, report.rows()), ns.out)
-    return 0
+    if ns.format == "csv":
+        return (report.CSV_HEADER, report.rows()), 0
+    return report.summary(), 0
 
 
-def _cmd_mu_tilde(ns) -> int:
+def _cmd_mu_tilde(ns):
     m = parse_map_spec(ns.map)
     t = ns.t if ns.t is not None else _horizon_for(ns, m, loewner_mod.VARIANT_SCHWARZIAN)
     outer = None if ns.outer == "none" else (lambda z: np.zeros(np.shape(z), dtype=complex))
-    scales = [float(v) for v in ns.scales.split(",")] if ns.scales else [2 * t, t, t / 2]
     rows = []
-    for sc in scales:
+    for sc in ns.scales or [2 * t, t, t / 2]:
         split = carleson_mod.bigbox_decomposition(
             m, t, ns.center_y, sc, outer=outer, rel_tol=ns.rel_tol
         )
@@ -526,9 +495,8 @@ def _cmd_mu_tilde(ns) -> int:
             "scale": sc, "total": split.total, "inner": split.inner_term,
             "outer": split.outer_term, "defect": split.defect,
         })
-    _atomic_write(_json_doc({"map": m.name, "t": t, "center_y": ns.center_y,
-                             "outer": ns.outer, "boxes": rows}), ns.out)
-    return 0
+    return {"map": m.name, "t": t, "center_y": ns.center_y,
+            "outer": ns.outer, "boxes": rows}, 0
 
 
 _HANDLERS = {
@@ -552,7 +520,11 @@ def main(argv=None) -> int:
         if _has_config(argv):
             argv = _config_argv(build_parser(required=False).parse_args(argv), argv)
         ns = build_parser().parse_args(argv)
-        return _HANDLERS[ns.command](ns)
+        report, code = _HANDLERS[ns.command](ns)
+        if isinstance(report, tuple):
+            report = _csv(*report)
+        _atomic_write(report if isinstance(report, str) else _json_doc(report), ns.out)
+        return code
     except HorizonError as exc:
         sys.stderr.write(f"chordalqc: {exc}\n")
         return _FAIL_EXIT

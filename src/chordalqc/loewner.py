@@ -208,7 +208,6 @@ class EvolutionState:
     z0: complex
     z: complex
     step: float
-    K: float
     residual_estimate: float
 
 
@@ -216,14 +215,14 @@ def evolve_trace(field: HerglotzField, s: float, t: float, z, step: float = 1e-3
     """Per-substep states of the flow, with a lockstep (step, step/2)
     Richardson difference as the accumulated error estimate."""
     n, hh = _substeps(field, s, t, z, step)
-    states = [EvolutionState(s, s, complex(z), complex(z), step, field.K, 0.0)]
+    states = [EvolutionState(s, s, complex(z), complex(z), step, 0.0)]
     w = w_half = z
     for i in range(n):
         ti = s + i * hh
         w = _rk4_step(field, w, ti, hh)
         w_half = _rk4_step(field, _rk4_step(field, w_half, ti, hh / 2), ti + hh / 2, hh / 2)
         states.append(
-            EvolutionState(s, ti + hh, complex(z), complex(w), step, field.K, abs(w - w_half))
+            EvolutionState(s, ti + hh, complex(z), complex(w), step, abs(w - w_half))
         )
     return states
 
@@ -238,7 +237,6 @@ class HorizonResult:
     t_star: float
     x_levels: np.ndarray
     level_sup: np.ndarray
-    grid: StripGrid
 
     def profile_rows(self):
         running = 0.0
@@ -276,5 +274,5 @@ def tau0_scan(
             f"norm {float(prefix[0]):.6g} at smallest scanned level"
         )
     idx = int(ok.sum()) - 1
-    return HorizonResult(h.name, variant, k, float(xs[idx]), xs, level_sup, grid)
+    return HorizonResult(h.name, variant, k, float(xs[idx]), xs, level_sup)
 

@@ -42,16 +42,6 @@ def derivative_ratios(jet: Jet):
     return p, s
 
 
-def pre_schwarzian(m: ConformalMap, z):
-    """Pf(z) = f''(z)/f'(z)."""
-    return derivative_ratios(m.jet(z))[0]
-
-
-def schwarzian(m: ConformalMap, z):
-    """Sf(z) = f'''/f' - (3/2)(f''/f')^2."""
-    return derivative_ratios(m.jet(z))[1]
-
-
 @dataclass(frozen=True)
 class StripGrid:
     """Deterministic sampling of the strip 0 < Re z <= x_max.
@@ -100,7 +90,6 @@ class NormProfile:
     sigma: tuple
     argmax_beta: tuple
     argmax_sigma: tuple
-    grid: StripGrid
 
     def __post_init__(self):
         for seq, label in ((self.beta, "beta"), (self.sigma, "sigma")):
@@ -265,6 +254,6 @@ def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> No
             vals.append(float(level_max[i]))
             args.append(complex(level_arg[i]))
     return NormProfile(
-        m.name, tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s), grid
+        m.name, tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s)
     )
 

@@ -193,16 +193,16 @@ def test_composite_inner_branch_matches_formula():
     t = 0.2
     field = composite_mu_tilde(h, t)
     z = -t / 2 + 0.3j
-    assert abs(field(z) - mu_formula(h, "schwarzian", z)) <= 1e-15
+    assert abs(field(np.array([z]))[0] - mu_formula(h, "schwarzian", z)) <= 1e-15
 
 
 def test_composite_requires_outer_beyond_strip():
     field = composite_mu_tilde(perturbed_identity(0.3), 0.2)
     with pytest.raises(EvaluationError, match="outer extension not configured"):
-        field(-0.5 + 1j)
+        field(np.array([-0.5 + 1j]))
     with_outer = composite_mu_tilde(perturbed_identity(0.3), 0.2,
                                     outer=lambda z: np.full(np.shape(z), 0.1 + 0j))
-    assert with_outer(-0.5 + 1j) == 0.1 + 0j
+    assert with_outer(np.array([-0.5 + 1j])).tolist() == [0.1 + 0j]
 
 
 def test_composite_small_boxes_match_mu_density():

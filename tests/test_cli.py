@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -176,6 +178,11 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert run(["horizon", "--map", "identity", "--config", str(cfg), *FAST_GRID,
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["k"] == 0.25
+    # null leaves the flag at its default, as false does
+    cfg.write_text(json.dumps({"k": 0.25, "t-max": None}))
+    assert run(["horizon", "--map", "identity", "--config", str(cfg), *FAST_GRID,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["t_star"] == 1.0
     # and a bad value is a usage error
     cfg.write_text(json.dumps({"k": "abc"}))
     with pytest.raises(SystemExit) as exc:
@@ -311,3 +318,82 @@ def test_verify_mu_horizon_is_the_horizon_command_t_star(capsys):
     assert run([*verify, "--tau", repr(t_star)]) == 0
     assert capsys.readouterr().out == scanned
     assert json.loads(scanned)["tau"] == t_star
+
+
+# one case per subcommand, plus a FAIL exit and horizon's JSON failure under --format csv
+SINGLE_WRITER_CASES = {
+    "maps-list": ["maps-list"],
+    "eval": ["eval", "--map", "square", "--z", "1+0i;2+1i"],
+    "norms": ["norms", "--map", "perturbed-identity:0.3", "--t", "1,0.1", *FAST_GRID],
+    "horizon": ["horizon", "--map", "perturbed-identity:0.3", "--format", "csv", *FAST_GRID],
+    "horizon-fail": ["horizon", "--map", "square", "--format", "csv", *FAST_GRID],
+    "evolve": ["evolve", "--map", "perturbed-identity:0.3", "--t", "0.01", "--z", "1+1i",
+               "--step", "0.005", *FAST_GRID],
+    "pde-check": ["pde-check", "--map", "perturbed-identity:0.3", "--samples", "50", *FAST_GRID],
+    "extend": ["extend", "--map", "perturbed-identity:0.3", "--z=-0.01+1i", "--format", "json",
+               *FAST_GRID],
+    "verify-mu": ["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "3",
+                  *FAST_GRID],
+    "verify-mu-fail": ["verify-mu", "--map", "square", "--tau", "0.1", "--nx", "3", "--ny", "3",
+                       *FAST_GRID],
+    "trace-check": ["trace-check", "--map", "counterexample-f", "--nx", "5", "--ny", "5",
+                    *FAST_GRID],
+    "carleson": ["carleson", "--map", "perturbed-identity:0.3", "--scales", "1,0.25",
+                 "--positions", "0", *FAST_GRID],
+    "mu-tilde": ["mu-tilde", "--map", "perturbed-identity:0.3", "--t", "0.25", "--scales", "0.25",
+                 *FAST_GRID],
+}
+
+
+@pytest.mark.parametrize("args", SINGLE_WRITER_CASES.values(), ids=SINGLE_WRITER_CASES.keys())
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, args):
+    code = run(args)
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "report"
+    assert run([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout
+
+
+def test_out_file_mode_follows_umask(tmp_path):
+    fresh, existing = tmp_path / "fresh.txt", tmp_path / "existing.txt"
+    existing.write_text("old")
+    existing.chmod(0o644)
+    old = os.umask(0o022)
+    try:
+        assert run(["maps-list", "--out", str(fresh)]) == 0
+        assert run(["maps-list", "--out", str(existing)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("args, blank", [
+    (["norms", "--map", "identity", *FAST_GRID, "--t"], "1,0.1,"),
+    (["carleson", "--map", "identity", *FAST_GRID, "--positions", "0", "--scales"], ",1, ,0.5,"),
+    (["carleson", "--map", "identity", *FAST_GRID, "--scales", "1", "--positions"], "0,,1"),
+    (["mu-tilde", "--map", "identity", "--t", "0.25", *FAST_GRID, "--scales"], "0.25,"),
+], ids=["norms-t", "carleson-scales", "carleson-positions", "mu-tilde-scales"])
+def test_number_lists_skip_blank_items(capsys, args, blank):
+    assert run([*args, blank]) == 0
+    with_blanks = capsys.readouterr().out
+    assert run([*args, ",".join(v for v in blank.split(",") if v.strip())]) == 0
+    assert capsys.readouterr().out == with_blanks
+
+
+@pytest.mark.parametrize("args, message", [
+    (["norms", "--map", "identity", "--t", ","], "argument --t: no values in ','"),
+    (["carleson", "--map", "identity", "--scales", ","], "argument --scales: no values in ','"),
+    (["carleson", "--map", "identity", "--density", "mu", "--scales", " "],
+     "argument --scales: no values in ' '"),
+    (["carleson", "--map", "identity", "--positions", "0,x"],
+     "argument --positions: invalid number list '0,x'"),
+    (["mu-tilde", "--map", "identity", "--scales", ""], "argument --scales: no values in ''"),
+], ids=["norms-t-empty", "carleson-scales-empty", "carleson-mu-scales-blank",
+        "carleson-positions-bad", "mu-tilde-scales-empty"])
+def test_number_list_errors_name_the_flag(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")

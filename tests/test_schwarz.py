@@ -30,8 +30,6 @@ from chordalqc.schwarz import (
     StripGrid,
     derivative_ratios,
     norm_profile,
-    pre_schwarzian,
-    schwarzian,
     strip_weights,
 )
 
@@ -40,32 +38,32 @@ SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
 
 def test_pre_schwarzian_identity_is_zero():
     for z in (0.5, 1 + 1j, 3 - 2j):
-        assert pre_schwarzian(identity(), z) == 0
+        assert derivative_ratios(identity().jet(z))[0] == 0
 
 
 def test_pre_schwarzian_square():
     # (z^2)''/(z^2)' = 1/z
-    assert abs(pre_schwarzian(square_map(), 2.0) - 0.5) <= 1e-14
+    assert abs(derivative_ratios(square_map().jet(2.0))[0] - 0.5) <= 1e-14
     z = 1.5 + 0.5j
-    assert abs(pre_schwarzian(square_map(), z) - 1 / z) <= 1e-14
+    assert abs(derivative_ratios(square_map().jet(z))[0] - 1 / z) <= 1e-14
 
 
 def test_pre_schwarzian_perturbed_closed_form():
     h = perturbed_identity(0.3)
     for z in (1e-9, 0.5 + 0.2j, 2.0):
         w = 0.3 * np.exp(-complex(z))
-        assert abs(pre_schwarzian(h, z) - w / (1 - w)) <= 1e-13
-    assert abs(pre_schwarzian(h, 1e-9) - 0.3 / 0.7) <= 1e-6
+        assert abs(derivative_ratios(h.jet(z))[0] - w / (1 - w)) <= 1e-13
+    assert abs(derivative_ratios(h.jet(1e-9))[0] - 0.3 / 0.7) <= 1e-6
 
 
 def test_schwarzian_square_closed_form():
-    assert abs(schwarzian(square_map(), 1.0) + 1.5) <= 1e-14
+    assert abs(derivative_ratios(square_map().jet(1.0))[1] + 1.5) <= 1e-14
 
 
 def test_schwarzian_moebius_zero():
     m = moebius(2, 1, 1, 3)
     for z in (0.5, 1 + 2j):
-        assert abs(schwarzian(m, z)) <= 1e-12
+        assert abs(derivative_ratios(m.jet(z))[1]) <= 1e-12
 
 
 def test_schwarzian_chain_rule_moebius_inner():
@@ -73,9 +71,9 @@ def test_schwarzian_chain_rule_moebius_inner():
     g = half_strip_g()
     for phi in (phi_map(), moebius(1, 1, 0, 1), moebius(2, 0, 0, 1)):
         z = 1.0
-        left = schwarzian(compose(g, phi), z)
+        left = derivative_ratios(compose(g, phi).jet(z))[1]
         pj = phi.jet(z)
-        right = schwarzian(g, complex(pj.coeffs[0])) * pj.coeffs[1] ** 2
+        right = derivative_ratios(g.jet(complex(pj.coeffs[0])))[1] * pj.coeffs[1] ** 2
         assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
@@ -135,7 +133,7 @@ def test_norm_profile_rows_and_argmax():
 
 def test_profile_monotonicity_guard():
     with pytest.raises(ValueError):
-        NormProfile("x", (1.0, 0.1), (0.0, 1.0), (0.0, 0.0), (0j, 0j), (0j, 0j), SMALL_GRID)
+        NormProfile("x", (1.0, 0.1), (0.0, 1.0), (0.0, 0.0), (0j, 0j), (0j, 0j))
 
 
 def test_sup_implication_constant():
