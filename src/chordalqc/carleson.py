@@ -16,8 +16,10 @@ x = u^2, so integrands growing like 1/x near the edge (the
 pre-schwarzian dilatation density) stay accurate; piecewise densities
 declare their breakpoints and panels never straddle them.  Each
 refinement round evaluates the new panels of every open box of a scan
-together, at most CALL_NODES nodes per density call, and a box that
-needs more than MAX_PANELS panels raises QuadratureError.
+together, at most CALL_NODES nodes per density call.  A box that is not
+finite and nonempty raises ValueError on entry, and one that needs more
+than MAX_PANELS panels QuadratureError.  bigbox_decomposition runs the
+engine once per density for all its lengths.
 
 Densities provided:
 
@@ -136,9 +138,12 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
     equal share of that tolerance (at least the worst one) is bisected in both
     directions.  Each round evaluates the new panels of all open boxes
     together; a box that would need more than MAX_PANELS panels raises
-    QuadratureError."""
+    QuadratureError, and one that is not finite and nonempty ValueError."""
     new = []
     for b, (center_y, length, x_lo, x_hi) in enumerate(boxes):
+        if not (math.isfinite(center_y) and 0 < length < math.inf and 0 <= x_lo < x_hi < math.inf):
+            raise ValueError(f"box at center_y={center_y}, |I|={length}, x in ({x_lo}, {x_hi}) "
+                             "is not finite and nonempty")
         y_lo, y_hi = center_y - 0.5 * length, center_y + 0.5 * length
         ys = [y_lo] + sorted(v for v in density.y_breakpoints if y_lo < v < y_hi) + [y_hi]
         xs = [x_lo] + sorted(v for v in density.x_breakpoints if x_lo < v < x_hi) + [x_hi]
@@ -183,8 +188,6 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
 def box_ratio(density: Density, center_y: float, length: float, rel_tol: float = 1e-6) -> float:
     """lambda(box)/|I| for the box at i*center_y with side |I| = length,
     converged to the requested relative error estimate."""
-    if length <= 0:
-        raise ValueError("interval length must be positive")
     return _integrate_boxes(density, [(center_y, length, 0.0, length)], rel_tol)[0] / length
 
 
@@ -242,8 +245,6 @@ def carleson_scan(
     """Full ratio table over dyadic scales and sliding positions."""
     scales = tuple(sorted((float(s) for s in (scales or DEFAULT_SCALES)), reverse=True))
     positions = tuple(float(p) for p in (positions or DEFAULT_POSITIONS))
-    if not scales:
-        raise ValueError("need at least one scale")
     boxes = [(cy, sc, 0.0, sc) for sc in scales for cy in positions]
     mass = _integrate_boxes(density, boxes, rel_tol).reshape(len(scales), len(positions))
     table = mass / np.array(scales)[:, None]
@@ -333,40 +334,37 @@ def bigbox_decomposition(
     h: ConformalMap,
     t: float,
     center_y: float,
-    length: float,
+    lengths,
     outer=None,
     rel_tol: float = 1e-8,
-) -> BigBoxSplit:
-    """Compute the composite box ratio and, independently, its inner-strip
-    and outer parts.
+) -> list:
+    """Compute, for each |I| in the sequence ``lengths``, the composite box
+    ratio and, independently, its inner-strip and outer parts: one engine
+    run per density over all the lengths.
 
     The inner part integrates (2x)^3 |Sh(x+iy)|^2 / 4 over the reflected
     region on H (an algebraically equal but separately coded expression);
-    the outer part integrates |outer(z+t)|^2/(-2 Re z).
+    the outer part integrates |outer(z+t)|^2/(-2 Re z) over t < -Re z < |I|,
+    so it is 0 for |I| <= t.
     """
-    total = box_ratio(composite_density(h, t, outer), center_y, length, rel_tol=rel_tol)
+    total = _integrate_boxes(composite_density(h, t, outer),
+                             [(center_y, L, 0.0, L) for L in lengths], rel_tol)
 
     def _inner(z):
         s = derivative_ratios(h.jet(z))[1]
         return (2.0 * np.real(z)) ** 3 * np.abs(s) ** 2 / 4.0
 
-    x_in = min(t, length)
-    inner_density = Density("bigbox-inner", "H", _inner)
-    inner_term = _integrate_boxes(inner_density, [(center_y, length, 0.0, x_in)],
-                                  rel_tol)[0] / length
+    inner = _integrate_boxes(Density("bigbox-inner", "H", _inner),
+                             [(center_y, L, 0.0, min(t, L)) for L in lengths], rel_tol)
+    outer_mass = np.zeros(len(lengths))
+    big = [i for i, L in enumerate(lengths) if L > t]
+    if outer is not None and big:
+        def _outer(z):
+            m = outer(z + t)
+            return np.abs(m) ** 2 / (-2.0 * np.real(z))
 
-    if length > t:
-        if outer is None:
-            outer_term = 0.0
-        else:
-            def _outer(z):
-                m = outer(z + t)
-                return np.abs(m) ** 2 / (-2.0 * np.real(z))
-
-            outer_density = Density("bigbox-outer", "H*", _outer)
-            outer_term = _integrate_boxes(outer_density, [(center_y, length, t, length)],
-                                          rel_tol)[0] / length
-    else:
-        outer_term = 0.0
-    return BigBoxSplit(length, center_y, total, inner_term, outer_term)
-
+        outer_mass[big] = _integrate_boxes(Density("bigbox-outer", "H*", _outer),
+                                           [(center_y, lengths[i], t, lengths[i]) for i in big],
+                                           rel_tol)
+    return [BigBoxSplit(L, center_y, a / L, b / L, c / L)
+            for L, a, b, c in zip(lengths, total, inner, outer_mass)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -124,15 +125,29 @@ def _complex_list(text: str):
     return [parse_complex(part) for part in text.split(";") if part.strip()]
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite number '{value}'")
+    return value
+
+
+def _number(text: str) -> float:
+    """A finite float: the argparse ``type`` of every number flag."""
+    try:
+        return _finite(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _number_list(text: str) -> list:
-    """Comma-separated numbers, blank items skipped: an argparse ``type``."""
+    """Comma-separated finite numbers, blank items skipped: an argparse ``type``."""
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
-    return values
+    return [_finite(v) for v in values]
 
 
 def _grid_from(ns) -> StripGrid:
@@ -153,9 +168,9 @@ def _add_common(p: argparse.ArgumentParser, fmt_choices=("csv", "json"), fmt_def
 
 
 def _add_grid(p: argparse.ArgumentParser):
-    p.add_argument("--x-min", type=float, default=1e-4, help="smallest Re level of the strip grid")
+    p.add_argument("--x-min", type=_number, default=1e-4, help="smallest Re level of the strip grid")
     p.add_argument("--points-per-decade", type=int, default=64, help="log-spaced Re levels per decade")
-    p.add_argument("--y-max", type=float, default=20.0, help="Im range half-width")
+    p.add_argument("--y-max", type=_number, default=20.0, help="Im range half-width")
     p.add_argument("--y-count", type=int, default=257, help="number of Im samples")
 
 
@@ -195,20 +210,20 @@ def build_parser(required: bool = True) -> _Parser:
     p = add("horizon", help="largest grid-certified horizon at level k")
     p.add_argument("--map", required=required)
     _add_variant(p)
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--t-max", type=float, default=1.0, help="scan range maximum")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--t-max", type=_number, default=1.0, help="scan range maximum")
     _add_grid(p)
     _add_common(p, fmt_default="json")
 
     p = add("evolve", help="RK4 trace of the evolution flow")
     p.add_argument("--map", required=required)
     _add_variant(p)
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--s", type=float, default=0.0, help="start time")
-    p.add_argument("--t", type=float, required=required, help="end time")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--s", type=_number, default=0.0, help="start time")
+    p.add_argument("--t", type=_number, required=required, help="end time")
     p.add_argument("--z", required=required, help="start point, re+imi")
-    p.add_argument("--step", type=float, default=1e-3, help="RK4 step")
-    p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--step", type=_number, default=1e-3, help="RK4 step")
+    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
@@ -217,9 +232,9 @@ def build_parser(required: bool = True) -> _Parser:
     _add_variant(p)
     p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-    p.add_argument("--t-cap", type=float, default=0.05, help="largest sampled time")
-    p.add_argument("--k", type=float, default=0.5)
+    p.add_argument("--tol", type=_number, default=1e-10, help="residual tolerance")
+    p.add_argument("--t-cap", type=_number, default=0.05, help="largest sampled time")
+    p.add_argument("--k", type=_number, default=0.5)
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
@@ -227,20 +242,20 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--z", required=required, help="semicolon-separated points")
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
     p = add("verify-mu", help="dilatation identity and bound over the strip")
     p.add_argument("--map", required=required)
     _add_variant(p)
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--fd-step", type=float, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
-    p.add_argument("--fd-tol", type=float, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--fd-step", type=_number, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
+    p.add_argument("--fd-tol", type=_number, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
     p.add_argument("--summary-only", action="store_true", help="omit per-sample rows")
     _add_grid(p)
     _add_common(p, fmt_choices=())
@@ -252,11 +267,11 @@ def build_parser(required: bool = True) -> _Parser:
             "it is not independent numerical evidence for the extension.")
     p.add_argument("--map", required=required)
     _add_variant(p)
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tol", type=float, default=1e-12, help="equality tolerance")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--tol", type=_number, default=1e-12, help="equality tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
@@ -264,25 +279,25 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--map", required=required)
     p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
     _add_variant(p)
-    p.add_argument("--k", type=float, default=0.5, help="level for the mu-density horizon")
-    p.add_argument("--tau", type=float, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--k", type=_number, default=0.5, help="level for the mu-density horizon")
+    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
     p.add_argument("--scales", type=_number_list, default=None,
                    help="comma-separated |I| values (default dyadic 1..2^-10)")
     p.add_argument("--positions", type=_number_list, default=None, help="comma-separated center_y values")
-    p.add_argument("--rel-tol", type=float, default=1e-6, help="quadrature relative tolerance")
-    p.add_argument("--threshold", type=float, default=carleson_mod.DEFAULT_VANISH_THRESHOLD, help="vanishing verdict threshold (fraction of the norm estimate)")
+    p.add_argument("--rel-tol", type=_number, default=1e-6, help="quadrature relative tolerance")
+    p.add_argument("--threshold", type=_number, default=carleson_mod.DEFAULT_VANISH_THRESHOLD, help="vanishing verdict threshold (fraction of the norm estimate)")
     _add_grid(p)
     _add_common(p)
 
     p = add("mu-tilde", help="composite dilatation box decomposition")
     p.add_argument("--map", required=required)
-    p.add_argument("--t", type=float, default=None, help="strip width (default: horizon at --k)")
-    p.add_argument("--k", type=float, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--t", type=_number, default=None, help="strip width (default: horizon at --k)")
+    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
                    help="outer dilatation beyond the strip")
     p.add_argument("--scales", type=_number_list, default=None, help="comma-separated |I| values")
-    p.add_argument("--center-y", type=float, default=0.0, help="box center on the imaginary axis")
-    p.add_argument("--rel-tol", type=float, default=1e-8, help="quadrature relative tolerance")
+    p.add_argument("--center-y", type=_number, default=0.0, help="box center on the imaginary axis")
+    p.add_argument("--rel-tol", type=_number, default=1e-8, help="quadrature relative tolerance")
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
@@ -302,8 +317,11 @@ def _config_argv(ns: argparse.Namespace, argv) -> list:
     ahead of the command line's own, so that argparse converts and checks each
     value and an explicit flag wins.  ``true`` is a bare flag, ``false`` and
     ``null`` no flag; keys that name no flag of the subcommand are ignored."""
-    with open(ns.config) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(ns.config) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--config {ns.config}: {exc}") from None
     if not isinstance(overrides, dict):
         raise ValueError("--config must contain a JSON object")
     flags = []
@@ -397,7 +415,7 @@ def _cmd_evolve(ns):
 def _cmd_pde_check(ns):
     if ns.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
-    if not (np.isfinite(ns.t_cap) and ns.t_cap >= 0):
+    if ns.t_cap < 0:
         raise ValueError(f"--t-cap must be finite and nonnegative, got {ns.t_cap}")
     m = parse_map_spec(ns.map)
     field = loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
@@ -472,7 +490,8 @@ def _cmd_carleson(ns):
             # boxes deeper than the strip have no dilatation values
             scales = [s for s in carleson_mod.DEFAULT_SCALES if s <= tau]
             if not scales:
-                raise HorizonError(f"horizon {tau} smaller than every default scale")
+                raise ValueError(f"horizon {tau} is smaller than the smallest default scale "
+                                 f"{carleson_mod.DEFAULT_SCALES[-1]}: give --scales or a larger --tau")
     report = carleson_mod.carleson_scan(
         dens, scales=scales, positions=ns.positions,
         rel_tol=ns.rel_tol, vanish_threshold=ns.threshold,
@@ -486,15 +505,11 @@ def _cmd_mu_tilde(ns):
     m = parse_map_spec(ns.map)
     t = ns.t if ns.t is not None else _horizon_for(ns, m, loewner_mod.VARIANT_SCHWARZIAN)
     outer = None if ns.outer == "none" else (lambda z: np.zeros(np.shape(z), dtype=complex))
-    rows = []
-    for sc in ns.scales or [2 * t, t, t / 2]:
-        split = carleson_mod.bigbox_decomposition(
-            m, t, ns.center_y, sc, outer=outer, rel_tol=ns.rel_tol
-        )
-        rows.append({
-            "scale": sc, "total": split.total, "inner": split.inner_term,
-            "outer": split.outer_term, "defect": split.defect,
-        })
+    splits = carleson_mod.bigbox_decomposition(
+        m, t, ns.center_y, ns.scales or [2 * t, t, t / 2], outer=outer, rel_tol=ns.rel_tol
+    )
+    rows = [{"scale": s.length, "total": s.total, "inner": s.inner_term,
+             "outer": s.outer_term, "defect": s.defect} for s in splits]
     return {"map": m.name, "t": t, "center_y": ns.center_y,
             "outer": ns.outer, "boxes": rows}, 0
 

@@ -268,10 +268,8 @@ def test_criterion_12_carleson_suite():
     for length in (0.25, 0.125, 0.0625):
         worst_small = max(worst_small, abs(box_ratio(comp, 0.0, length)
                                            - box_ratio(plain, 0.0, length)))
-    worst_split = 0.0
-    for length in (0.5, 1.0):
-        split = bigbox_decomposition(h, t, 0.0, length, outer=zero_outer)
-        worst_split = max(worst_split, split.defect)
+    splits = bigbox_decomposition(h, t, 0.0, (0.5, 1.0), outer=zero_outer)
+    worst_split = max(split.defect for split in splits)
     ok = ok_square and ok_vmoa and worst_small <= 1e-10 and worst_split <= 1e-9
     _report(12, "carleson-suite", ok,
             f"square norm={rep.norm_estimate:.8f}, vmoa vanishing={ok_vmoa}, "

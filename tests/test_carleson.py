@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chordalqc import carleson as carleson_mod
 from chordalqc.carleson import (
     CALL_NODES,
     Density,
@@ -219,8 +220,8 @@ def test_composite_small_boxes_match_mu_density():
 @pytest.mark.parametrize("length", [0.125, 0.25, 0.5, 1.0])
 def test_bigbox_decomposition_identity(length):
     h = perturbed_identity(0.3)
-    split = bigbox_decomposition(h, 0.25, 0.0, length,
-                                 outer=lambda z: np.zeros(np.shape(z), complex))
+    split, = bigbox_decomposition(h, 0.25, 0.0, [length],
+                                  outer=lambda z: np.zeros(np.shape(z), complex))
     assert split.defect <= 1e-9
     if length <= 0.25:
         assert split.outer_term == 0.0
@@ -229,12 +230,39 @@ def test_bigbox_decomposition_identity(length):
 def test_bigbox_with_constant_outer():
     h = perturbed_identity(0.3)
     c = 0.05
-    split = bigbox_decomposition(h, 0.25, 0.0, 1.0,
-                                 outer=lambda z: np.full(np.shape(z), c + 0j))
+    split, = bigbox_decomposition(h, 0.25, 0.0, [1.0],
+                                  outer=lambda z: np.full(np.shape(z), c + 0j))
     # outer term has the closed form (c^2/L) * I * integral of 1/(2x)
     want = c ** 2 * math.log(1.0 / 0.25) / 2
     assert abs(split.outer_term - want) <= 1e-8
     assert split.defect <= 1e-9
+
+
+def test_bigbox_lengths_share_one_engine_run_per_density(monkeypatch):
+    h = perturbed_identity(0.3)
+    t = 0.25
+    lengths = [2 * t, t, t / 2, 3 * t]
+    outer = lambda z: np.full(np.shape(z), 0.05 + 0j)
+    single = [bigbox_decomposition(h, t, 0.0, [L], outer=outer)[0] for L in lengths]
+    runs = []
+    engine = carleson_mod._integrate_boxes
+
+    def counted(density, boxes, rel_tol):
+        runs.append(density.name)
+        return engine(density, boxes, rel_tol)
+
+    monkeypatch.setattr(carleson_mod, "_integrate_boxes", counted)
+    batch = bigbox_decomposition(h, t, 0.0, lengths, outer=outer)
+    assert runs == [f"mu-tilde:{h.name}", "bigbox-inner", "bigbox-outer"]
+    assert [s.length for s in batch] == lengths
+    for a, b in zip(batch, single):
+        for field in ("total", "inner_term", "outer_term"):
+            want = getattr(b, field)
+            assert abs(getattr(a, field) - want) <= 1e-14 * want
+        if a.length <= t:
+            assert a.outer_term == 0.0
+        else:
+            assert a.outer_term > 0.0
 
 
 def test_density_validates_side():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -11,6 +12,18 @@ FAST_GRID = ["--points-per-decade", "8", "--y-count", "33", "--y-max", "10"]
 
 def run(args):
     return main(args)
+
+
+def failed_run(capsys, args) -> str:
+    """Stderr of a run that exits 1 with nothing on stdout, whether a flag's
+    argparse type rejects a value (SystemExit) or the command fails."""
+    try:
+        code = run(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    return captured.err
 
 
 def test_maps_list_text(capsys):
@@ -201,6 +214,15 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
         run(["eval", "--config", str(cfg)])
     assert exc.value.code == 1
     assert "the following arguments are required: --z" in capsys.readouterr().err
+    # a file that cannot be parsed or opened is an error naming --config
+    cfg.write_text("{bad")
+    assert run(["eval", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"chordalqc: error: --config {cfg}: Expecting property "
+                                       "name enclosed in double quotes: line 1 column 2 (char 1)\n")
+    missing = tmp_path / "missing.json"
+    assert run(["eval", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == (f"chordalqc: error: --config {missing}: [Errno 2] "
+                                       f"No such file or directory: '{missing}'\n")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -257,10 +279,11 @@ def test_nonfinite_point_exit_one(capsys):
     ("--points-per-decade", "-1", "points_per_decade"),
 ])
 def test_bad_grid_exit_one_naming_field(capsys, flag, value, field):
-    assert run(["horizon", "--map", "counterexample-f", flag, value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"chordalqc: error: grid {field} must be")
+    err = failed_run(capsys, ["horizon", "--map", "counterexample-f", flag, value])
+    if math.isfinite(float(value)):
+        assert err.startswith(f"chordalqc: error: grid {field} must be")
+    else:  # the flag's type rejects it before a grid exists
+        assert err.endswith(f"chordalqc horizon: error: argument {flag}: non-finite number {value!r}\n")
 
 
 def test_domain_error_names_map_and_point(capsys):
@@ -298,14 +321,26 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
     (["pde-check", "--map", "identity", "--t-cap", "-1"],
      "--t-cap must be finite and nonnegative, got -1.0"),
     (["pde-check", "--map", "identity", "--t-cap", "nan"],
-     "--t-cap must be finite and nonnegative, got nan"),
+     "argument --t-cap: non-finite number 'nan'"),
+    (["carleson", "--map", "counterexample-f", "--density", "mu", "--tau", "1e-6"],
+     "horizon 1e-06 is smaller than the smallest default scale 0.0009765625: "
+     "give --scales or a larger --tau"),
+    (["carleson", "--map", "identity", "--scales", "0"],
+     "box at center_y=-8.0, |I|=0.0, x in (0.0, 0.0) is not finite and nonempty"),
+    (["carleson", "--map", "identity", "--scales=-0.5"],
+     "box at center_y=-8.0, |I|=-0.5, x in (0.0, -0.5) is not finite and nonempty"),
+    (["mu-tilde", "--map", "identity", "--t", "0.25", "--scales=-0.5"],
+     "box at center_y=0.0, |I|=-0.5, x in (0.0, -0.5) is not finite and nonempty"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
-        "pde-check-t-cap-nan"])
+        "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
+        "carleson-scale-negative", "mu-tilde-scale-negative"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
-    assert run(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chordalqc: error: {message}\n"
+    err = failed_run(capsys, args)
+    if message.startswith("argument "):  # the flag's type: usage line, then the subcommand
+        assert err.startswith("usage: ")
+        assert err.endswith(f"chordalqc {args[0]}: error: {message}\n")
+    else:
+        assert err == f"chordalqc: error: {message}\n"
 
 
 def test_verify_mu_horizon_is_the_horizon_command_t_star(capsys):
@@ -390,8 +425,21 @@ def test_number_lists_skip_blank_items(capsys, args, blank):
     (["carleson", "--map", "identity", "--positions", "0,x"],
      "argument --positions: invalid number list '0,x'"),
     (["mu-tilde", "--map", "identity", "--scales", ""], "argument --scales: no values in ''"),
+    (["extend", "--map", "identity", "--z", "1", "--tau", "nan"],
+     "argument --tau: non-finite number 'nan'"),
+    (["pde-check", "--map", "identity", "--tol", "nan"], "argument --tol: non-finite number 'nan'"),
+    (["carleson", "--map", "identity", "--threshold", "nan"],
+     "argument --threshold: non-finite number 'nan'"),
+    (["mu-tilde", "--map", "identity", "--t", "inf"], "argument --t: non-finite number 'inf'"),
+    (["norms", "--map", "identity", "--t", "nan,0.5"], "argument --t: non-finite number 'nan'"),
+    (["evolve", "--map", "identity", "--t", "1", "--z", "1", "--step", "nan"],
+     "argument --step: non-finite number 'nan'"),
+    (["carleson", "--map", "identity", "--positions", "0,-inf"],
+     "argument --positions: non-finite number '-inf'"),
 ], ids=["norms-t-empty", "carleson-scales-empty", "carleson-mu-scales-blank",
-        "carleson-positions-bad", "mu-tilde-scales-empty"])
+        "carleson-positions-bad", "mu-tilde-scales-empty", "extend-tau-nan", "pde-check-tol-nan",
+        "carleson-threshold-nan", "mu-tilde-t-inf", "norms-t-nan", "evolve-step-nan",
+        "carleson-positions-inf"])
 def test_number_list_errors_name_the_flag(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         run(args)
