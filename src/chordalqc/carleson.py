@@ -10,16 +10,18 @@ ratio table and a configurable trend verdict, nothing stronger.
 Box integrals use one adaptive engine, _integrate_boxes: every panel
 carries a tensor Gauss-Kronrod 7/15 rule whose embedded Gauss sum gives
 the error estimate |K - G|, and a box whose summed estimate is too large
-bisects its worst panels, so refinement grades toward corner
-singularities.  The panels touching the axis are integrated in u with
-x = u^2, so integrands growing like 1/x near the edge (the
-pre-schwarzian dilatation density) stay accurate; piecewise densities
-declare their breakpoints and panels never straddle them.  Each
-refinement round evaluates the new panels of every open box of a scan
-together, at most CALL_NODES nodes per density call.  A box that is not
-finite and nonempty raises ValueError on entry, and one that needs more
-than MAX_PANELS panels QuadratureError.  bigbox_decomposition runs the
-engine once per density for all its lengths.
+bisects its worst panels, each along the axis whose one-axis error
+(|K - Gx*Ky| in x, |K - Kx*Gy| in y) is larger, so refinement follows
+ridges and grades toward corner singularities.  The panels touching the
+axis are integrated in u with x = u^2, so integrands growing like 1/x
+near the edge (the pre-schwarzian dilatation density) stay accurate;
+piecewise densities declare their breakpoints and panels never straddle
+them.  Each refinement round evaluates the new panels of every open box
+of a scan together, at most CALL_NODES nodes per density call.  A box
+that is not finite and nonempty raises ValueError on entry, and one that
+needs more than MAX_PANELS panels, or a panel narrower than MIN_WIDTH
+times its side, QuadratureError.  bigbox_decomposition runs the engine
+once per density for all its lengths.
 
 Densities provided:
 
@@ -48,9 +50,11 @@ DEFAULT_VANISH_THRESHOLD = 0.05
 
 # acceptance: a box is done when its summed error estimates are at most
 # rel_tol*|estimate| + ABS_TOL; it fails once it would need more than MAX_PANELS
-# panels; one density call evaluates at most CALL_NODES nodes
+# panels, or a panel narrower than MIN_WIDTH*|I| (in y, or in u where x = u^2);
+# one density call evaluates at most CALL_NODES nodes
 ABS_TOL = 1e-15
 MAX_PANELS = 1024
+MIN_WIDTH = 2.0 ** -52
 CALL_NODES = 2 ** 16
 
 # QUADPACK's 15-point Gauss-Kronrod table on [-1, 1] (dqk15; Laurie, Math. Comp.
@@ -106,8 +110,9 @@ def _axis_rule(a, b, in_u):
 
 
 def _panel_sums(density: Density, panels: list):
-    """Tensor Kronrod sums and their errors |K - G| on the panels
-    (box, xa, xb, ya, yb, in_u), at most CALL_NODES nodes per density call.
+    """Tensor Kronrod sums K, their errors |K - G| and the one-axis errors
+    |K - Gx*Ky| and |K - Kx*Gy| on the panels (box, xa, xb, ya, yb, in_u), at
+    most CALL_NODES nodes per density call.
 
     Each panel is reduced on its own, so its bits do not depend on the
     panels that share its call."""
@@ -115,16 +120,17 @@ def _panel_sums(density: Density, panels: list):
     xs, wxk, wxg = _axis_rule(geo[:, 0], geo[:, 1], np.array([p[5] for p in panels]))
     ys, wyk, wyg = _axis_rule(geo[:, 2], geo[:, 3], np.zeros(len(panels), dtype=bool))
     sign = -1.0 if density.side == "H*" else 1.0
-    k, err = [], []
+    k, *errs = [], [], [], []
     for lo in range(0, len(panels), _PANELS_PER_CALL):
         c = slice(lo, lo + _PANELS_PER_CALL)
         vals = np.asarray(density.evaluator(sign * xs[c, :, None] + 1j * ys[c, None, :]),
                           dtype=float)
         kc = np.sum(vals * (wxk[c, :, None] * wyk[c, None, :]), axis=(1, 2))
-        gc = np.sum(vals * (wxg[c, :, None] * wyg[c, None, :]), axis=(1, 2))
         k.extend(kc.tolist())
-        err.extend(np.abs(kc - gc).tolist())
-    return k, err
+        for out, wx, wy in zip(errs, (wxg, wxg, wxk), (wyg, wyk, wyg)):
+            other = np.sum(vals * (wx[c, :, None] * wy[c, None, :]), axis=(1, 2))
+            out.extend(np.abs(kc - other).tolist())
+    return k, *errs
 
 
 def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
@@ -135,9 +141,10 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
     panel starting at the axis (x = 0) is a panel in u with x = u^2, and so are
     its children.  A box is done when the sum of its |K - G| is at most
     rel_tol*|sum K| + ABS_TOL; otherwise every panel whose error exceeds an
-    equal share of that tolerance (at least the worst one) is bisected in both
-    directions.  Each round evaluates the new panels of all open boxes
-    together; a box that would need more than MAX_PANELS panels raises
+    equal share of that tolerance (at least the worst one) is bisected along
+    one axis: x (or u) when |K - Gx*Ky| >= |K - Kx*Gy|, else y.  Each round
+    evaluates the new panels of all open boxes together; a box that would need
+    more than MAX_PANELS panels, or panels narrower than MIN_WIDTH*|I|, raises
     QuadratureError, and one that is not finite and nonempty ValueError."""
     new = []
     for b, (center_y, length, x_lo, x_hi) in enumerate(boxes):
@@ -151,37 +158,40 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
             in_u = xa == 0.0
             for ya, yb in zip(ys, ys[1:]):
                 new.append((b, xa, math.sqrt(xb) if in_u else xb, ya, yb, in_u))
-    live = [[] for _ in boxes]  # per box: (K, |K - G|, panel)
+    live = [[] for _ in boxes]  # per box: (K, |K - G|, |K - Gx*Ky|, |K - Kx*Gy|, panel)
     result = np.zeros(len(boxes))
     while new:
-        for p, k, err in zip(new, *_panel_sums(density, new)):
-            live[p[0]].append((k, err, p))
+        for p, *sums in zip(new, *_panel_sums(density, new)):
+            live[p[0]].append((*sums, p))
         open_boxes = sorted({p[0] for p in new})
         new = []
         for b in open_boxes:
-            est = math.fsum(k for k, _, _ in live[b])
-            err = math.fsum(e for _, e, _ in live[b])
+            est = math.fsum(q[0] for q in live[b])
+            err = math.fsum(q[1] for q in live[b])
             tol = rel_tol * abs(est) + ABS_TOL
             if err <= tol:
                 result[b] = est
                 continue
             share = tol / len(live[b])
-            keep, split = [], []
+            keep, cuts = [], []
             for q in live[b]:
-                (split if q[1] > share else keep).append(q)
-            # nothing to split: the estimate or an error estimate is NaN
-            if not split or len(live[b]) + 3 * len(split) > MAX_PANELS:
-                center_y, length, x_lo, x_hi = boxes[b]
+                if q[1] > share:  # cut the x range (panel index 1) or the y range (3)
+                    cuts.append((q[4], 1 if q[2] >= q[3] else 3))
+                else:
+                    keep.append(q)
+            center_y, length, x_lo, x_hi = boxes[b]
+            # nothing to cut: the estimate or an error estimate is NaN
+            if (not cuts or len(live[b]) + len(cuts) > MAX_PANELS
+                    or any(p[a + 1] - p[a] < 2 * MIN_WIDTH * length for p, a in cuts)):
                 raise QuadratureError(
                     f"box integral did not converge for {density.name!r} at "
                     f"center_y={center_y}, |I|={length}, x in ({x_lo}, {x_hi}): "
                     f"estimate {est!r}, error estimate {err!r} on {len(live[b])} panels"
                 )
             live[b] = keep
-            for _, _, (_, xa, xb, ya, yb, in_u) in split:
-                xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-                new += [(b, xa, xm, ya, ym, in_u), (b, xa, xm, ym, yb, in_u),
-                        (b, xm, xb, ya, ym, in_u), (b, xm, xb, ym, yb, in_u)]
+            for p, a in cuts:
+                mid = 0.5 * (p[a] + p[a + 1])
+                new += [p[:a + 1] + (mid,) + p[a + 2:], p[:a] + (mid,) + p[a + 1:]]
     return result
 
 

@@ -295,7 +295,8 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
                    help="outer dilatation beyond the strip")
-    p.add_argument("--scales", type=_number_list, default=None, help="comma-separated |I| values")
+    p.add_argument("--scales", type=_number_list, default=None,
+                   help="comma-separated |I| values (default 2t,t,t/2; t,t/2 with --outer none)")
     p.add_argument("--center-y", type=_number, default=0.0, help="box center on the imaginary axis")
     p.add_argument("--rel-tol", type=_number, default=1e-8, help="quadrature relative tolerance")
     _add_grid(p)
@@ -505,8 +506,10 @@ def _cmd_mu_tilde(ns):
     m = parse_map_spec(ns.map)
     t = ns.t if ns.t is not None else _horizon_for(ns, m, loewner_mod.VARIANT_SCHWARZIAN)
     outer = None if ns.outer == "none" else (lambda z: np.zeros(np.shape(z), dtype=complex))
+    # without an outer field the density ends at the strip edge, so the 2t box is left out
+    scales = ns.scales or ([2 * t, t, t / 2] if outer else [t, t / 2])
     splits = carleson_mod.bigbox_decomposition(
-        m, t, ns.center_y, ns.scales or [2 * t, t, t / 2], outer=outer, rel_tol=ns.rel_tol
+        m, t, ns.center_y, scales, outer=outer, rel_tol=ns.rel_tol
     )
     rows = [{"scale": s.length, "total": s.total, "inner": s.inner_term,
              "outer": s.outer_term, "defect": s.defect} for s in splits]

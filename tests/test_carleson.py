@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,15 +52,26 @@ def test_box_ratio_validates_length():
 
 
 def test_quadrature_error_without_breakpoints():
-    # the same indicator with no declared edges cannot converge on a
-    # straddling box
-    def _eval(z):
-        x, y = np.real(z), np.imag(z)
-        return ((x > 0) & (x < 1) & (y > 0) & (y < 1)).astype(float)
-
-    d = Density("rough", "H", _eval)
+    # the indicator of |z| < 1 jumps along a curved edge, which no breakpoint
+    # can declare, so a box straddling it cannot converge
+    d = Density("disk", "H", lambda z: (np.abs(z) < 1).astype(float))
     with pytest.raises(QuadratureError, match=r"x in \(0\.0, 2\.0\)"):
         box_ratio(d, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda z: 1.0 / np.real(z),  # not integrable at the axis
+    lambda z: np.full(np.shape(z), np.nan),  # no error estimate to split on
+], ids=["inv-x", "nan"])
+def test_divergent_box_raises_naming_it(evaluator):
+    # a 1/x box halves only its axis panel each round; the width floor stops it
+    # before x = u^2 underflows to 0
+    dens, sizes = _counted(Density("bad", "H", evaluator))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match=r"center_y=0\.0, \|I\|=1\.0, x in \(0\.0, 1\.0\)"):
+            box_ratio(dens, 0.0, 1.0)
+    assert len(sizes) <= 64
 
 
 # 1/|z| on H is homogeneous of degree -1: every box centered at 0 has this
@@ -94,6 +106,16 @@ def _counted(density):
 def _assert_scan_matches_box_ratio(density, rep):
     for scale, center_y, ratio in rep.rows():
         assert abs(box_ratio(density, center_y, scale) - ratio) <= 1e-14 * ratio
+
+
+def test_half_strip_g_scan_does_not_vanish():
+    # the pole of Ph at 0 is scale-invariant: every scale keeps a box near 3.464;
+    # in (u, y) the pole is a ridge y ~ u^2, which one-axis splits follow cheaply
+    dens, sizes = _counted(vmoa_density(half_strip_g()))
+    rep = carleson_scan(dens, scales=[2.0 ** (-j) for j in range(16)], positions=[0.0])
+    assert sum(sizes) <= 1_000_000
+    assert min(rep.per_scale_max) >= 3.46
+    assert not rep.vanishing
 
 
 def test_scan_batches_density_calls():

@@ -169,6 +169,14 @@ def test_mu_tilde_decomposition(tmp_path):
         assert box["defect"] <= 1e-9
 
 
+def test_mu_tilde_outer_none_defaults_to_scales_inside_the_strip(capsys):
+    assert run(["mu-tilde", "--map", "perturbed-identity:0.3", "--outer", "none", *FAST_GRID]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["scale"] for b in doc["boxes"]] == [doc["t"], doc["t"] / 2]
+    for box in doc["boxes"]:
+        assert box["outer"] == 0.0 and box["defect"] <= 1e-9
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 0.25, "t-max": 0.5}))
