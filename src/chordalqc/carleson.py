@@ -145,7 +145,7 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
     one axis: x (or u) when |K - Gx*Ky| >= |K - Kx*Gy|, else y.  Each round
     evaluates the new panels of all open boxes together; a box that would need
     more than MAX_PANELS panels, or panels narrower than MIN_WIDTH*|I|, raises
-    QuadratureError, and one that is not finite and nonempty ValueError."""
+    QuadratureError naming the limit, and one that is not finite and nonempty ValueError."""
     new = []
     for b, (center_y, length, x_lo, x_hi) in enumerate(boxes):
         if not (math.isfinite(center_y) and 0 < length < math.inf and 0 <= x_lo < x_hi < math.inf):
@@ -180,13 +180,18 @@ def _integrate_boxes(density: Density, boxes, rel_tol: float) -> np.ndarray:
                 else:
                     keep.append(q)
             center_y, length, x_lo, x_hi = boxes[b]
-            # nothing to cut: the estimate or an error estimate is NaN
-            if (not cuts or len(live[b]) + len(cuts) > MAX_PANELS
-                    or any(p[a + 1] - p[a] < 2 * MIN_WIDTH * length for p, a in cuts)):
+            limit = None
+            if not cuts:  # nothing to cut: the estimate or an error estimate is NaN
+                limit = "a non-finite estimate"
+            elif len(live[b]) + len(cuts) > MAX_PANELS:
+                limit = "the MAX_PANELS budget"
+            elif any(p[a + 1] - p[a] < 2 * MIN_WIDTH * length for p, a in cuts):
+                limit = "the MIN_WIDTH floor"
+            if limit:
                 raise QuadratureError(
                     f"box integral did not converge for {density.name!r} at "
-                    f"center_y={center_y}, |I|={length}, x in ({x_lo}, {x_hi}): "
-                    f"estimate {est!r}, error estimate {err!r} on {len(live[b])} panels"
+                    f"center_y={center_y}, |I|={length}, x in ({x_lo}, {x_hi}): estimate {est!r}, "
+                    f"error estimate {err!r} on {len(live[b])} panels, stopped by {limit}"
                 )
             live[b] = keep
             for p, a in cuts:

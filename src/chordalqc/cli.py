@@ -15,6 +15,7 @@ for any flag not given explicitly; flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -110,9 +111,11 @@ def _json_doc(doc) -> str:
     ``to_json_dict()``, byte for byte, but the sample block is formatted
     straight from the report's columns.
     """
+    if isinstance(doc, ext_mod.QCReport) and doc.points is None:
+        doc = doc.to_json_dict()
     if not isinstance(doc, ext_mod.QCReport):
         return json.dumps(doc, indent=2) + "\n"
-    head = json.dumps(doc.to_json_dict(include_samples=False), indent=2)
+    head = json.dumps(dataclasses.replace(doc, points=None).to_json_dict(), indent=2)
     *floats, degenerate = doc.sample_columns()
     rows = zip(*map(_json_floats, floats), np.where(degenerate, "true", "false").tolist())
     samples = ",\n".join(_SAMPLE % row for row in rows)
@@ -452,30 +455,29 @@ def _cmd_verify_mu(ns):
     report = ext_mod.qc_report(
         m, ns.variant, _horizon_for(ns, m), k=ns.k, fd_step=ns.fd_step,
         fd_tolerance=ns.fd_tol, grid=_grid_from(ns), nx=ns.nx, ny=ns.ny,
+        samples=not ns.summary_only,
     )
-    doc = report.to_json_dict(include_samples=False) if ns.summary_only else report
-    return doc, 0 if report.passed else _FAIL_EXIT
+    return report, 0 if report.passed else _FAIL_EXIT
 
 
 def _cmd_trace_check(ns):
     m = parse_map_spec(ns.map)
     tau = _horizon_for(ns, m)
     # pull the deepest level just inside the horizon
-    pts = ext_mod.mirror_strip_points(tau, fd_step=1e-9,
-                                      grid=_grid_from(ns), nx=ns.nx, ny=ns.ny)
-    level_max = np.empty(pts.shape[0])
+    xs, ys = ext_mod._mirror_levels(tau, 1e-9, _grid_from(ns), ns.nx, ns.ny)
+    level_max = np.empty(xs.size)
 
-    def run(a, b):
-        via_trace = ext_mod.trace_extend(m, ns.variant, pts[a:b])
-        via_formula = ext_mod.extend(m, ns.variant, pts[a:b], tau=tau)
+    def run(a, b, mesh):
+        via_trace = ext_mod.trace_extend(m, ns.variant, mesh)
+        via_formula = ext_mod.extend(m, ns.variant, mesh, tau=tau)
         level_max[a:b] = np.max(np.abs(via_trace - via_formula), axis=1)
 
-    _run_blocks(run, *pts.shape)
+    _run_blocks(run, xs, ys)
     worst = float(np.max(level_max))
     passed = worst <= ns.tol
     return {
         "map": m.name, "variant": ns.variant, "tau": tau,
-        "points": int(pts.size), "max_difference": worst, "tol": ns.tol, "pass": passed,
+        "points": xs.size * ys.size, "max_difference": worst, "tol": ns.tol, "pass": passed,
     }, 0 if passed else _FAIL_EXIT
 
 

@@ -109,15 +109,10 @@ def wirtinger_mu(F, z, step: float):
     return d_z, d_zbar, d_zbar / d_z
 
 
-def mirror_strip_points(
-    tau: float,
-    fd_step: float = DEFAULT_FD_STEP,
-    grid: StripGrid | None = None,
-    nx: int | None = None,
-    ny: int | None = None,
-) -> np.ndarray:
-    """Sample points of the strip -tau < Re z < 0, mirrored from the norm
-    grid, pulled in by two FD steps so stencils stay inside the strip."""
+def _mirror_levels(tau: float, fd_step: float = DEFAULT_FD_STEP, grid: StripGrid | None = None,
+                   nx: int | None = None, ny: int | None = None):
+    """Re levels (negative) and Im values of the strip -tau < Re z < 0, mirrored
+    from the norm grid, pulled in by two FD steps so stencils stay inside the strip."""
     for name, count in (("nx", nx), ("ny", ny)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
@@ -129,13 +124,20 @@ def mirror_strip_points(
         xs = grid.x_levels(x_hi)
     else:
         xs = np.logspace(np.log10(grid.x_min), np.log10(x_hi), nx)
-    ys = np.linspace(-grid.y_max, grid.y_max, grid.y_count if ny is None else ny)
-    return -xs[:, None] + 1j * ys[None, :]
+    return -xs, np.linspace(-grid.y_max, grid.y_max, grid.y_count if ny is None else ny)
+
+
+def mirror_strip_points(tau: float, **options) -> np.ndarray:
+    """The whole mesh of the strip grid of ``_mirror_levels(tau, **options)``."""
+    xs, ys = _mirror_levels(tau, **options)
+    return xs[:, None] + 1j * ys[None, :]
 
 
 @dataclass(frozen=True)
 class QCReport:
-    """Dilatation verification over a mirrored strip grid."""
+    """Dilatation verification over a mirrored strip grid: max |mu_fd| and
+    |mu_fd - mu_formula| over the accepted (not degenerate) samples, max
+    |mu_formula| over all, and the per-sample arrays if they were asked for."""
 
     map_name: str
     variant: str
@@ -143,37 +145,19 @@ class QCReport:
     tau: float
     fd_step: float
     fd_tolerance: float
-    points: np.ndarray
-    mu_fd: np.ndarray
-    mu_form: np.ndarray
-    degenerate: np.ndarray
+    max_mu_fd: float
+    max_mu_formula: float
+    max_identity_error: float
+    degenerate_count: int
     failures: tuple
-
-    @property
-    def accepted(self) -> np.ndarray:
-        return ~self.degenerate
+    points: np.ndarray | None = None
+    mu_fd: np.ndarray | None = None
+    mu_form: np.ndarray | None = None
+    degenerate: np.ndarray | None = None
 
     @property
     def mu_bound(self) -> float:
         return self.k / 2 if self.variant == VARIANT_SCHWARZIAN else self.k
-
-    @property
-    def max_mu_fd(self) -> float:
-        vals = np.abs(self.mu_fd[self.accepted])
-        return float(vals.max()) if vals.size else 0.0
-
-    @property
-    def max_mu_formula(self) -> float:
-        return float(np.abs(self.mu_form).max()) if self.mu_form.size else 0.0
-
-    @property
-    def max_identity_error(self) -> float:
-        errs = np.abs(self.mu_fd - self.mu_form)[self.accepted]
-        return float(errs.max()) if errs.size else 0.0
-
-    @property
-    def degenerate_count(self) -> int:
-        return int(self.degenerate.sum())
 
     @property
     def passed(self) -> bool:
@@ -194,7 +178,8 @@ class QCReport:
         return (z.real, z.imag, fd.real, fd.imag, form.real, form.imag, err,
                 self.degenerate.ravel())
 
-    def to_json_dict(self, include_samples: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
+        """The JSON report; it has per-sample rows when the report holds samples."""
         doc = {
             "map": self.map_name,
             "variant": self.variant,
@@ -210,7 +195,7 @@ class QCReport:
                 "pass": self.passed,
             },
         }
-        if include_samples:
+        if self.points is not None:
             zr, zi, fr, fi, mr, mi, err, deg = (c.tolist() for c in self.sample_columns())
             doc["samples"] = [
                 {"z": [a, b], "mu_fd": [c, d], "mu_formula": [e, f], "err": g, "degenerate": h}
@@ -229,6 +214,7 @@ def qc_report(
     grid: StripGrid | None = None,
     nx: int | None = None,
     ny: int | None = None,
+    samples: bool = True,
 ) -> QCReport:
     """Verify the dilatation identity and bound over the reflected strip
     -tau < Re z < 0.
@@ -236,34 +222,41 @@ def qc_report(
     PASS requires max |mu_formula| <= k/2 (schwarzian) or <= k
     (pre-schwarzian) plus the FD/formula identity at every accepted
     sample.  Degenerate samples (|d_z| ~ 0) are excluded from PASS/FAIL
-    and counted separately.
+    and counted separately.  Each block of the grid reduces its levels to
+    the summary's maxima; ``samples=False`` keeps no per-sample arrays.
     """
     _check_variant(variant)
     if not 0 < k < 1:
         raise ValueError(f"k must lie in (0,1), got {k}")
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
-    pts = mirror_strip_points(tau, fd_step=fd_step, grid=grid, nx=nx, ny=ny)
-    mu_fd = np.empty(pts.shape, dtype=complex)
-    mu_form = np.empty(pts.shape, dtype=complex)
-    degenerate = np.empty(pts.shape, dtype=bool)
+    xs, ys = _mirror_levels(tau, fd_step, grid, nx, ny)
+    # per level: max |mu_fd|, |mu_formula| and |mu_fd - mu_formula|, and the degenerate
+    # count; mu_fd is 0 and the identity error counts as 0 at a degenerate sample
+    maxima = np.empty((3, xs.size))
+    counts = np.empty(xs.size, dtype=int)
+    dtypes = (complex, complex, complex, bool) if samples else ()  # z, mu_fd, mu_form, degenerate
+    arrays = [np.empty((xs.size, ys.size), dtype=t) for t in dtypes]
     floor = 100 * np.finfo(float).eps / fd_step
 
-    def F(w):
-        return extend(h, variant, w, tau=tau)
-
-    def run(a, b):
-        d_z, d_zbar = _wirtinger_pair(F, pts[a:b], fd_step)
-        mu_form[a:b] = mu_formula(h, variant, pts[a:b])
-        deg = degenerate[a:b] = np.abs(d_z) < floor
+    def run(a, b, mesh):
+        d_z, d_zbar = _wirtinger_pair(lambda w: extend(h, variant, w, tau=tau), mesh, fd_step)
+        form = mu_formula(h, variant, mesh)
+        deg = np.abs(d_z) < floor
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu_fd[a:b] = np.where(deg, 0.0, d_zbar / np.where(deg, 1.0, d_z))
+            fd = np.where(deg, 0.0, d_zbar / np.where(deg, 1.0, d_z))
+        for row, vals in zip(maxima, (np.abs(fd), np.abs(form),
+                                      np.where(deg, 0.0, np.abs(fd - form)))):
+            row[a:b] = vals.max(axis=1)
+        counts[a:b] = deg.sum(axis=1)
+        for out, vals in zip(arrays, (mesh, fd, form, deg)):
+            out[a:b] = vals
 
     try:
-        _run_blocks(run, *pts.shape)
+        _run_blocks(run, xs, ys)
     except (EvaluationError, HorizonError) as exc:
-        empty = np.zeros((0, 0), dtype=complex)
-        return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, empty, empty, empty,
-                        np.zeros((0, 0), dtype=bool), (str(exc),))
-    return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, pts, mu_fd, mu_form,
-                    degenerate, ())
+        empty = [np.empty((0, 0), dtype=a.dtype) for a in arrays]
+        return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, 0.0, 0.0, 0.0, 0,
+                        (str(exc),), *empty)
+    return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance,
+                    *(float(row.max()) for row in maxima), int(counts.sum()), (), *arrays)

@@ -153,9 +153,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(run, levels: int, width: int):
-    """``run(a, b)`` for the levels ``a:b`` of each block of a grid of ``levels``
-    levels of ``width`` points: the one strip-grid evaluator.
+def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
+    """``run(a, b, mesh)``, ``mesh = xs[a:b, None] + 1j * ys[None, :]``, for the Re
+    levels ``a:b`` of each block of the grid ``xs`` by ``ys``: the one strip-grid evaluator.
 
     Blocks hold whole levels and at least ``BLOCK_POINTS`` points (a short tail
     joins the block before it).  They run on one thread per CPU of the process,
@@ -166,11 +166,11 @@ def _run_blocks(run, levels: int, width: int):
     """
     import threading
 
-    rows = -(-BLOCK_POINTS // width)  # levels per block, rounded up
-    starts = list(range(0, levels, rows))
-    if len(starts) > 1 and levels - starts[-1] < rows:
+    rows = -(-BLOCK_POINTS // ys.size)  # levels per block, rounded up
+    starts = list(range(0, xs.size, rows))
+    if len(starts) > 1 and xs.size - starts[-1] < rows:
         starts.pop()
-    blocks = list(zip(starts, starts[1:] + [levels]))
+    blocks = list(zip(starts, starts[1:] + [xs.size]))
     workers = min(_cpu_count(), MAX_WORKERS, len(blocks))
     lock = threading.Lock()
     failed = {}  # block index -> exception
@@ -185,8 +185,9 @@ def _run_blocks(run, levels: int, width: int):
                     return
                 i = next_block
                 next_block += 1
+            a, b = blocks[i]
             try:
-                run(*blocks[i])
+                run(a, b, xs[a:b, None] + 1j * ys[None, :])
             except BaseException as exc:  # handed to the calling thread, which raises it
                 with lock:
                     failed[i] = exc
@@ -216,15 +217,14 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     ys = grid.y_values()
     sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
 
-    def run(a, b):
-        mesh = xs[a:b, None] + 1j * ys[None, :]
+    def run(a, b, mesh):
         level = np.arange(b - a)
         for w, (vals, args) in zip(_weights(m, mesh), sups):
             col = np.argmax(w, axis=1)
             vals[a:b] = w[level, col]
             args[a:b] = mesh[level, col]
 
-    _run_blocks(run, xs.size, ys.size)
+    _run_blocks(run, xs, ys)
     return xs, sups
 
 

@@ -53,23 +53,25 @@ def test_box_ratio_validates_length():
 
 def test_quadrature_error_without_breakpoints():
     # the indicator of |z| < 1 jumps along a curved edge, which no breakpoint
-    # can declare, so a box straddling it cannot converge
+    # can declare, so a box straddling it cannot converge within the panel budget
     d = Density("disk", "H", lambda z: (np.abs(z) < 1).astype(float))
-    with pytest.raises(QuadratureError, match=r"x in \(0\.0, 2\.0\)"):
+    with pytest.raises(QuadratureError,
+                       match=r"x in \(0\.0, 2\.0\).*, stopped by the MAX_PANELS budget$"):
         box_ratio(d, 0.0, 2.0)
 
 
-@pytest.mark.parametrize("evaluator", [
-    lambda z: 1.0 / np.real(z),  # not integrable at the axis
-    lambda z: np.full(np.shape(z), np.nan),  # no error estimate to split on
+@pytest.mark.parametrize("evaluator, limit", [
+    (lambda z: 1.0 / np.real(z), "the MIN_WIDTH floor"),  # not integrable at the axis
+    (lambda z: np.full(np.shape(z), np.nan), "a non-finite estimate"),  # nothing to split on
 ], ids=["inv-x", "nan"])
-def test_divergent_box_raises_naming_it(evaluator):
+def test_divergent_box_raises_naming_it(evaluator, limit):
     # a 1/x box halves only its axis panel each round; the width floor stops it
     # before x = u^2 underflows to 0
     dens, sizes = _counted(Density("bad", "H", evaluator))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(QuadratureError, match=r"center_y=0\.0, \|I\|=1\.0, x in \(0\.0, 1\.0\)"):
+        with pytest.raises(QuadratureError, match=r"center_y=0\.0, \|I\|=1\.0, x in \(0\.0, 1\.0\)"
+                           f".*, stopped by {limit}$"):
             box_ratio(dens, 0.0, 1.0)
     assert len(sizes) <= 64
 

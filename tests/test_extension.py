@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordalqc import schwarz
+from chordalqc import extension, schwarz
 from chordalqc.cli import _json_doc, main
 from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
 from chordalqc.extension import (
     QCReport,
-    _wirtinger_pair,
     extend,
     mirror_strip_points,
     mu_formula,
@@ -303,11 +302,27 @@ def _bits(values):
 def _whole_mesh_qc(h, variant, tau, fd_step, nx, ny):
     """mu_fd, mu_formula and degenerate of qc_report, evaluated on the whole mesh."""
     pts = mirror_strip_points(tau, fd_step=fd_step, nx=nx, ny=ny)
-    d_z, d_zbar = _wirtinger_pair(lambda w: extend(h, variant, w, tau=tau), pts, fd_step)
+    d_z, d_zbar = extension._wirtinger_pair(lambda w: extend(h, variant, w, tau=tau), pts,
+                                            fd_step)
     degenerate = np.abs(d_z) < 100 * np.finfo(float).eps / fd_step
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_fd = np.where(degenerate, 0.0, d_zbar / np.where(degenerate, 1.0, d_z))
     return pts, mu_fd, mu_formula(h, variant, pts), degenerate
+
+
+def _whole_mesh_summary(pts, mu_fd, mu_form, degenerate):
+    """qc_report's summary reduced over whole arrays: max |mu_fd| and max
+    |mu_fd - mu_formula| over the accepted samples (0.0 if there are none), max
+    |mu_formula| over all, and the degenerate count."""
+    accepted = ~degenerate
+    fd = np.abs(mu_fd[accepted])
+    errs = np.abs(mu_fd - mu_form)[accepted]
+    return (float(fd.max()) if fd.size else 0.0, float(np.abs(mu_form).max()),
+            float(errs.max()) if errs.size else 0.0, int(degenerate.sum()))
+
+
+def _summary(rep):
+    return rep.max_mu_fd, rep.max_mu_formula, rep.max_identity_error, rep.degenerate_count
 
 
 @st.composite
@@ -329,6 +344,7 @@ def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, ta
     block_points, nx, ny = case
     h = parse_map_spec(spec)
     want = _whole_mesh_qc(h, variant, tau, 1e-5, nx, ny)
+    want_summary = _whole_mesh_summary(*want)
     trace_pts = mirror_strip_points(tau, fd_step=1e-9, nx=nx, ny=ny)
     want_trace = float(np.max(np.abs(trace_extend(h, variant, trace_pts)
                                       - extend(h, variant, trace_pts, tau=tau))))
@@ -346,15 +362,52 @@ def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, ta
             sys.setswitchinterval(1e-5)
             try:
                 rep = qc_report(h, variant, tau, nx=nx, ny=ny)
+                summary_rep = qc_report(h, variant, tau, nx=nx, ny=ny, samples=False)
                 assert main(trace_args) == 0
             finally:
                 sys.setswitchinterval(switch_interval)
-        assert rep.failures == ()
+        assert rep.failures == () and summary_rep.failures == ()
         for got, expected in zip((rep.points, rep.mu_fd, rep.mu_form, rep.degenerate), want):
             assert _bits(got) == _bits(expected)
+        assert summary_rep.points is None
+        for got in (rep, summary_rep):
+            assert _bits(_summary(got)) == _bits(want_summary)
         doc = json.loads(out.read_text())
         assert doc["points"] == nx * ny
         assert _bits(doc["max_difference"]) == _bits(want_trace)
+
+
+@pytest.mark.parametrize("degenerate_at", [
+    lambda z: z.imag > 0,  # the upper half of each level
+    lambda z: np.ones(z.shape, dtype=bool),  # every sample: no accepted one is left
+], ids=["upper-half", "all"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_qc_report_summary_skips_degenerate_samples(monkeypatch, degenerate_at, workers):
+    # d_z = 0 on a known set of samples: mu_fd is 0 there and the identity error,
+    # which would be |mu_formula|, is left out of the summary
+    wirtinger_pair = extension._wirtinger_pair
+
+    def pair(F, z, step):
+        d_z, d_zbar = wirtinger_pair(F, z, step)
+        return np.where(degenerate_at(z), 0.0, d_z), d_zbar
+
+    monkeypatch.setattr(extension, "_wirtinger_pair", pair)
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(schwarz, "MAX_WORKERS", workers)
+    h, nx, ny = counterexample_f(), 200, 257  # 51,400 samples: three blocks
+    pts, mu_fd, mu_form, degenerate = want = _whole_mesh_qc(h, "schwarzian", 1.0, 1e-5, nx, ny)
+    assert _bits(degenerate) == _bits(degenerate_at(pts))
+    assert np.abs(mu_form[degenerate]).max() > 0.1  # far over fd_tolerance
+    for samples in (True, False):
+        rep = qc_report(h, "schwarzian", 1.0, nx=nx, ny=ny, samples=samples)
+        assert _bits(_summary(rep)) == _bits(_whole_mesh_summary(*want))
+        assert rep.degenerate_count == degenerate.sum() > 0
+        assert rep.max_identity_error <= rep.fd_tolerance and rep.passed
+        if samples:
+            assert _bits(rep.degenerate) == _bits(degenerate)
+            assert not np.any(rep.mu_fd[degenerate])
+    if degenerate.all():
+        assert rep.max_mu_fd == rep.max_identity_error == 0.0
 
 
 def test_qc_report_names_failure_of_first_block(monkeypatch):
@@ -375,6 +428,7 @@ def test_qc_report_names_failure_of_first_block(monkeypatch):
     rep = qc_report(ConformalMap("fake", DOMAIN_H, formula), "schwarzian", 0.5, grid=SMALL_GRID)
     assert rep.failures == ("failure in block 0",)
     assert rep.points.size == 0
+    assert _summary(rep) == (0.0, 0.0, 0.0, 0) and not rep.passed
 
 
 def test_qc_report_memory_is_bounded():
@@ -388,6 +442,21 @@ def test_qc_report_memory_is_bounded():
         tracemalloc.stop()
     assert rep.failures == () and rep.points.size == 526593
     assert peak_mb < 64
+
+
+@pytest.mark.parametrize("args", [["verify-mu", "--summary-only"], ["trace-check"]],
+                         ids=["verify-mu-summary", "trace-check"])
+def test_summary_commands_hold_no_per_sample_arrays(args, capsys):
+    # the horizon scan and the mirrored grid of 526k samples, both in blocks; the
+    # per-sample columns of verify-mu took 36.8 MB and trace-check's whole mesh 19.6 MB
+    tracemalloc.start()
+    try:
+        code = main([*args, "--map", "counterexample-f", "--points-per-decade", "512"])
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["map"] == "counterexample-f"
+    assert peak_mb < 16
 
 
 def test_denominator_guard_names_one_point_whatever_the_blocks(capsys):
@@ -440,8 +509,10 @@ def _qc_reports(draw):
                             (nx, ny)).astype(bool)
     variant = draw(st.sampled_from(("schwarzian", "pre-schwarzian")))
     failures = tuple(draw(st.lists(st.sampled_from(("guard", "horizon")), max_size=2)))
+    summary = [draw(_ANY_FLOAT) for _ in range(4)]
+    samples = (points, mu_fd, mu_form, degenerate) if draw(st.booleans()) else ()
     return QCReport("counterexample-f", variant, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
-                    1e-5, 1e-6, points, mu_fd, mu_form, degenerate, failures)
+                    1e-5, 1e-6, *summary, failures, *samples)
 
 
 @settings(max_examples=200, deadline=None)
