@@ -43,16 +43,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
+_WRITE_SLICE = 2 ** 20  # characters per write, so no encoded copy of a whole report is made
+
+
+def _write_sliced(fh, text: str):
+    for a in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[a:a + _WRITE_SLICE])
+
+
 def _atomic_write(text: str, path: str | None):
     if path is None:
-        sys.stdout.write(text)
+        _write_sliced(sys.stdout, text)
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chordalqc-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            _write_sliced(fh, text)
         # mkstemp creates 0600; give the file the mode open(path, "w") gives a new one
         umask = os.umask(0)
         os.umask(umask)
@@ -93,15 +101,36 @@ _SAMPLE = """\
       "err": %s,
       "degenerate": %s
     }"""
+# its pieces, each sample led by the separator ",\n", with a None slot for each field
+_SAMPLE_SLOTS = [s for piece in (",\n" + _SAMPLE).split("%s") for s in (piece, None)][:-1]
+_SAMPLE_CHUNK = 4096  # samples formatted per chunk
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(col) -> list:
-    """A float64 column spelled as json.dumps spells each float."""
-    text = list(map(repr, col.tolist()))
-    if not np.isfinite(col).all():
+    """A float64 column spelled as json.dumps spells each float.
+
+    ``repr`` runs once per distinct bit pattern, not per distinct value:
+    0.0 and -0.0 compare equal but are spelled apart."""
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
-    return text
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def _json_samples(columns, start: int, stop: int) -> str:
+    """Samples ``start:stop`` of the report, each but the report's first led by ",\n"."""
+    *floats, degenerate = (c[start:stop] for c in columns)
+    width = len(_SAMPLE_SLOTS)
+    parts = _SAMPLE_SLOTS * (stop - start)
+    if start == 0:
+        parts[0] = parts[0][1:]  # the first sample has no "," before it
+    for i, col in enumerate(floats):
+        parts[2 * i + 1::width] = _json_floats(col)
+    parts[width - 2::width] = np.where(degenerate, "true", "false").tolist()
+    return "".join(parts)
 
 
 def _json_doc(doc) -> str:
@@ -109,23 +138,33 @@ def _json_doc(doc) -> str:
 
     A :class:`QCReport` is written as ``json.dumps`` would write its
     ``to_json_dict()``, byte for byte, but the sample block is formatted
-    straight from the report's columns.
+    straight from the report's columns: in chunks of ``_SAMPLE_CHUNK``
+    samples, each chunk's fields interleaved with the sample template by
+    slices and joined once.  The chunks and the document they are joined
+    into are the only copies of the text.
     """
     if isinstance(doc, ext_mod.QCReport) and doc.points is None:
         doc = doc.to_json_dict()
     if not isinstance(doc, ext_mod.QCReport):
         return json.dumps(doc, indent=2) + "\n"
     head = json.dumps(dataclasses.replace(doc, points=None).to_json_dict(), indent=2)
-    *floats, degenerate = doc.sample_columns()
-    rows = zip(*map(_json_floats, floats), np.where(degenerate, "true", "false").tolist())
-    samples = ",\n".join(_SAMPLE % row for row in rows)
-    samples = "[\n" + samples + "\n  ]" if samples else "[]"
     # head ends with the document's closing "\n}"; samples is its last key
-    return head[:-2] + ',\n  "samples": ' + samples + "\n}\n"
+    head = head[:-2] + ',\n  "samples": '
+    columns = doc.sample_columns()
+    n = columns[0].size
+    if not n:
+        return head + "[]\n}\n"
+    chunks = [_json_samples(columns, a, min(a + _SAMPLE_CHUNK, n))
+              for a in range(0, n, _SAMPLE_CHUNK)]
+    return "".join([head, "[", *chunks, "\n  ]\n}\n"])
 
 
-def _complex_list(text: str):
-    return [parse_complex(part) for part in text.split(";") if part.strip()]
+def _complex_list(text: str) -> list:
+    """Semicolon-separated points, blank items skipped; a list with none is an error."""
+    points = [parse_complex(part) for part in text.split(";") if part.strip()]
+    if not points:
+        raise ValueError(f"no points in {text!r}")
+    return points
 
 
 def _finite(value: float) -> float:
@@ -140,6 +179,14 @@ def _number(text: str) -> float:
         return _finite(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative float: the argparse ``type`` of every tolerance flag."""
+    value = _number(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative tolerance {text!r}")
+    return value
 
 
 def _number_list(text: str) -> list:
@@ -235,7 +282,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_variant(p)
     p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--tol", type=_number, default=1e-10, help="residual tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-10, help="residual tolerance")
     p.add_argument("--t-cap", type=_number, default=0.05, help="largest sampled time")
     p.add_argument("--k", type=_number, default=0.5)
     _add_grid(p)
@@ -255,7 +302,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_variant(p)
     p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
     p.add_argument("--fd-step", type=_number, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
-    p.add_argument("--fd-tol", type=_number, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
+    p.add_argument("--fd-tol", type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
     p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
@@ -271,7 +318,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--map", required=required)
     _add_variant(p)
     p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tol", type=_number, default=1e-12, help="equality tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="equality tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
     p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
@@ -287,7 +334,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--scales", type=_number_list, default=None,
                    help="comma-separated |I| values (default dyadic 1..2^-10)")
     p.add_argument("--positions", type=_number_list, default=None, help="comma-separated center_y values")
-    p.add_argument("--rel-tol", type=_number, default=1e-6, help="quadrature relative tolerance")
+    p.add_argument("--rel-tol", type=_tolerance, default=1e-6, help="quadrature relative tolerance")
     p.add_argument("--threshold", type=_number, default=carleson_mod.DEFAULT_VANISH_THRESHOLD, help="vanishing verdict threshold (fraction of the norm estimate)")
     _add_grid(p)
     _add_common(p)
@@ -301,7 +348,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--scales", type=_number_list, default=None,
                    help="comma-separated |I| values (default 2t,t,t/2; t,t/2 with --outer none)")
     p.add_argument("--center-y", type=_number, default=0.0, help="box center on the imaginary axis")
-    p.add_argument("--rel-tol", type=_number, default=1e-8, help="quadrature relative tolerance")
+    p.add_argument("--rel-tol", type=_tolerance, default=1e-8, help="quadrature relative tolerance")
     _add_grid(p)
     _add_common(p, fmt_choices=())
 

@@ -230,6 +230,8 @@ def qc_report(
         raise ValueError(f"k must lie in (0,1), got {k}")
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
+    if not (np.isfinite(fd_tolerance) and fd_tolerance >= 0):
+        raise ValueError(f"fd_tolerance must be finite and nonnegative, got {fd_tolerance}")
     xs, ys = _mirror_levels(tau, fd_step, grid, nx, ny)
     # per level: max |mu_fd|, |mu_formula| and |mu_fd - mu_formula|, and the degenerate
     # count; mu_fd is 0 and the identity error counts as 0 at a degenerate sample

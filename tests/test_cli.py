@@ -339,9 +339,26 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "box at center_y=-8.0, |I|=-0.5, x in (0.0, -0.5) is not finite and nonempty"),
     (["mu-tilde", "--map", "identity", "--t", "0.25", "--scales=-0.5"],
      "box at center_y=0.0, |I|=-0.5, x in (0.0, -0.5) is not finite and nonempty"),
+    (["verify-mu", "--map", "identity", "--fd-tol", "-1"],
+     "argument --fd-tol: negative tolerance '-1'"),
+    (["trace-check", "--map", "identity", "--tol", "-1"],
+     "argument --tol: negative tolerance '-1'"),
+    (["pde-check", "--map", "identity", "--tol", "-1"],
+     "argument --tol: negative tolerance '-1'"),
+    (["carleson", "--map", "identity", "--rel-tol", "-1"],
+     "argument --rel-tol: negative tolerance '-1'"),
+    (["mu-tilde", "--map", "identity", "--t", "0.25", "--rel-tol=-1e-8"],
+     "argument --rel-tol: negative tolerance '-1e-8'"),
+    (["verify-mu", "--map", "identity", "--fd-tol", "inf"],
+     "argument --fd-tol: non-finite number 'inf'"),
+    (["eval", "--map", "identity", "--z", ";"], "no points in ';'"),
+    (["extend", "--map", "identity", "--tau", "0.5", "--z", " ; "], "no points in ' ; '"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
-        "carleson-scale-negative", "mu-tilde-scale-negative"])
+        "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
+        "trace-check-tol-negative", "pde-check-tol-negative", "carleson-rel-tol-negative",
+        "mu-tilde-rel-tol-negative", "verify-mu-fd-tol-inf", "eval-no-points",
+        "extend-no-points"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

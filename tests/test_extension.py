@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalqc import extension, schwarz
-from chordalqc.cli import _json_doc, main
+from chordalqc.cli import _SAMPLE_CHUNK, _json_doc, main
 from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
 from chordalqc.extension import (
     QCReport,
@@ -275,6 +275,14 @@ def test_qc_report_square_fails_bound_not_identity():
     assert rep.degenerate_count == 0
 
 
+@pytest.mark.parametrize("tolerance", [-1e-6, math.nan], ids=["negative", "nan"])
+def test_qc_report_rejects_bad_fd_tolerance(tolerance):
+    with pytest.raises(ValueError) as exc:
+        qc_report(identity(), "schwarzian", 0.5, fd_tolerance=tolerance, grid=SMALL_GRID,
+                  nx=3, ny=3)
+    assert str(exc.value) == f"fd_tolerance must be finite and nonnegative, got {tolerance}"
+
+
 def test_qc_report_json_shape():
     rep = qc_report(identity(), "schwarzian", _small_tau(identity(), "schwarzian"), k=0.5,
                     grid=SMALL_GRID, nx=5, ny=5)
@@ -459,6 +467,20 @@ def test_summary_commands_hold_no_per_sample_arrays(args, capsys):
     assert peak_mb < 16
 
 
+def test_full_report_holds_two_copies_of_its_text(tmp_path):
+    # the text exists as the sample block's chunks and the document joined from them;
+    # formatting the samples row by row held four copies, 4.8 times the file
+    out = tmp_path / "mu.json"
+    tracemalloc.start()
+    try:
+        code = main(["verify-mu", "--map", "counterexample-f", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out.read_text())["map"] == "counterexample-f"
+    assert peak <= 2.5 * out.stat().st_size
+
+
 def test_denominator_guard_names_one_point_whatever_the_blocks(capsys):
     # the guards trip on the strip's last level; each failure names its first point
     verify = ["verify-mu", "--map", "moebius:1,0,1,0.49996999999999997", "--tau", "0.5",
@@ -521,3 +543,28 @@ def test_json_doc_of_qc_report_matches_json_dumps(rep):
     with np.errstate(all="ignore"):
         expected = json.dumps(rep.to_json_dict(), indent=2) + "\n"
         assert _json_doc(rep) == expected
+
+
+def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
+    # 2 chunks and 3 samples; within each column 0.0 sits next to -0.0, which a value-based
+    # dedup would spell alike, among NaNs of both signs, infinities, subnormals and repeats
+    n = 2 * _SAMPLE_CHUNK + 3
+    rng = np.random.default_rng(15)
+    pool = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
+                     0.1, -0.1, 1e16, 0.30000000000000004])
+
+    def column():
+        out = np.empty(n, dtype=complex)
+        out.real, out.imag = rng.choice(pool, n), rng.choice(pool, n)
+        for cut in (0, _SAMPLE_CHUNK - 1, 2 * _SAMPLE_CHUNK - 1, n - 2):
+            out.real[cut:cut + 2] = out.imag[cut:cut + 2] = (0.0, -0.0) if cut % 2 else (-0.0, 0.0)
+        return out.reshape(1, n)
+
+    points, mu_fd, mu_form = column(), column(), column()
+    degenerate = (rng.random(n) < 0.3).reshape(1, n)
+    empty = [np.empty((0, 0), dtype=t) for t in (complex, complex, complex, bool)]
+    for samples in ((points, mu_fd, mu_form, degenerate), empty):
+        rep = QCReport("counterexample-f", "schwarzian", 0.5, 0.75, 1e-5, 1e-6,
+                       0.1, 0.2, 1e-8, int(samples[3].sum()), (), *samples)
+        with np.errstate(all="ignore"):
+            assert _json_doc(rep) == json.dumps(rep.to_json_dict(), indent=2) + "\n"
