@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from . import loewner as loewner_mod
 from .errors import EvaluationError, HorizonError, QuadratureError
 from .jets import ORDER
 from .maps import CATALOG_SPECS, parse_complex, parse_map_spec
-from .schwarz import NormProfile, StripGrid, _run_blocks, norm_profile
+from .schwarz import MAX_WORKERS, NormProfile, StripGrid, _run_blocks, norm_profile
 
 _USAGE_EXIT = 1
 _FAIL_EXIT = 2
@@ -581,8 +582,37 @@ _HANDLERS = {
 }
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc's malloc.h
+
+
+@functools.cache
+def _glibc_heap():
+    """glibc with the CLI's heap policy set, once per process, or None under another libc.
+
+    A strip scan's blocks each allocate and free megabytes of 256 KiB arrays, which glibc
+    would hand back to the kernel for the next block to fault in again.  Kept instead:
+    arrays up to 1 MiB on the heap, up to 8 MiB of free heap per block in flight, and one
+    arena, so that no helper thread's arena sits idle with pages kept."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    import ctypes  # here, so that importing the package does not pay for it
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+    libc.mallopt.restype = libc.malloc_trim.restype = ctypes.c_int
+    libc.mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, MAX_WORKERS * 8 << 20)
+    libc.mallopt(_M_ARENA_MAX, 1)
+    return libc
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    heap = _glibc_heap()
     try:
         if _has_config(argv):
             argv = _config_argv(build_parser(required=False).parse_args(argv), argv)
@@ -603,6 +633,9 @@ def main(argv=None) -> int:
     except (QuadratureError, ValueError, OSError) as exc:
         sys.stderr.write(f"chordalqc: error: {exc}\n")
         return _USAGE_EXIT
+    finally:
+        if heap is not None:
+            heap.malloc_trim(0)  # the next command in this process starts from a trimmed heap
 
 
 if __name__ == "__main__":

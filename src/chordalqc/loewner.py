@@ -81,16 +81,6 @@ class HerglotzField:
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
 
-    @property
-    def K(self) -> float:
-        """Speed bound (1+k)/(1-k): |p| <= K on U(k)."""
-        return (1.0 + self.k) / (1.0 - self.k)
-
-    @property
-    def drift(self) -> float:
-        """Lower bound (1-k)/(1+k) on Re p over U(k)."""
-        return (1.0 - self.k) / (1.0 + self.k)
-
     def p(self, z, t: float):
         _, pf, sf = _terms(self.base_map, z, t)
         return _field_value(self.variant, pf, sf, z, t)

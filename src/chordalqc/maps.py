@@ -1,10 +1,9 @@
 """Catalog of concrete conformal maps with jet evaluation.
 
-Every map carries a domain tag (right half-plane ``H``, the disk
-``D(1,1)`` of radius 1 about 1, or the unit disk ``D``) and a formula
-written against the generic jet operations, so the same object yields
-either an order-3 :class:`~chordalqc.jets.Jet` at an interior point or a
-plain boundary-continuous value.
+Every map carries a domain tag (right half-plane ``H`` or the unit
+disk ``D``) and a formula written against the generic jet operations,
+so the same object yields either an order-3 :class:`~chordalqc.jets.Jet`
+at an interior point or a plain boundary-continuous value.
 
 The catalog:
 
@@ -47,7 +46,6 @@ from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite
 from .jets import _any, _first_center
 
 DOMAIN_H = "H"
-DOMAIN_DISK11 = "D(1,1)"
 DOMAIN_UNIT_DISK = "D"
 
 _BOUNDARY_SLACK = 1e-12
@@ -65,9 +63,6 @@ def _domain_violation(domain: str, z, boundary_ok: bool):
     re, im = z.real, z.imag
     if domain == DOMAIN_H:
         bad = re <= -slack if boundary_ok else re <= 0
-    elif domain == DOMAIN_DISK11:
-        r2 = (re - 1) ** 2 + im ** 2
-        bad = r2 > (1 + slack) ** 2 if boundary_ok else r2 >= 1
     elif domain == DOMAIN_UNIT_DISK:
         r2 = re ** 2 + im ** 2
         bad = r2 > (1 + slack) ** 2 if boundary_ok else r2 >= 1

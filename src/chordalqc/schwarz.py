@@ -126,9 +126,10 @@ class NormProfile:
 BLOCK_POINTS = 1 << 14
 
 # Most threads a strip scan runs its blocks on.  Each block in flight holds
-# about 6.6 MB of arrays, and two threads reach only about 1.6x because each
-# jet call holds the interpreter lock for part of its time; more threads were
-# not measured, so the cap keeps a scan's memory independent of the CPU count.
+# about 6.6 MB of arrays, and two threads reach only 1.5-1.85x (8-12 alternating
+# runs of a 2.1M-point scan, 2 CPUs, no page faults) because each jet call holds
+# the interpreter lock for part of its time; more threads were not measured, so
+# the cap keeps a scan's memory independent of the CPU count.
 MAX_WORKERS = 2
 
 

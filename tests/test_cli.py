@@ -1,10 +1,16 @@
+import ctypes
 import json
 import math
 import os
+import resource
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import chordalqc
+from chordalqc import cli
 from chordalqc.cli import main
 
 FAST_GRID = ["--points-per-decade", "8", "--y-count", "33", "--y-max", "10"]
@@ -470,3 +476,43 @@ def test_number_list_errors_name_the_flag(capsys, args, message):
         run(args)
     assert exc.value.code == 1
     assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+
+def _is_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the CLI sets a heap policy under glibc only")
+def test_strip_scan_reuses_its_heap_pages():
+    # about 60k minor faults when glibc hands each block's freed temporaries
+    # back to the kernel and the next block faults them in again; about 8k kept
+    src = os.path.dirname(os.path.dirname(chordalqc.__file__))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "chordalqc.cli", "horizon", "--map", "counterexample-f",
+                    "--points-per-decade", "512"], env={**os.environ, "PYTHONPATH": src},
+                   stdout=subprocess.DEVNULL, check=True, timeout=120)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before < 25_000
+
+
+def test_main_without_glibc_makes_no_allocator_call(tmp_path, monkeypatch):
+    args = ["horizon", "--map", "counterexample-f", *FAST_GRID, "--format", "csv"]
+    assert run([*args, "--out", str(tmp_path / "default.csv")]) == 0
+
+    def not_glibc(name):  # as os.confstr does where glibc's name is unknown
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_allocator(*args, **kwargs):
+        raise AssertionError("C library loaded without glibc")
+
+    monkeypatch.setattr(os, "confstr", not_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_allocator)
+    cli._glibc_heap.cache_clear()
+    try:
+        assert run([*args, "--out", str(tmp_path / "no-glibc.csv")]) == 0
+        assert cli._glibc_heap() is None
+    finally:
+        cli._glibc_heap.cache_clear()
+    assert (tmp_path / "no-glibc.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()

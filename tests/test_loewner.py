@@ -62,7 +62,7 @@ def test_field_stays_in_disk_with_positive_real_part():
     t = rng.uniform(0, field.tau0 * 0.999, 200)
     p = field.p(z, t)
     assert np.all(np.abs((p - 1) / (p + 1)) <= field.k + 1e-12)
-    assert np.all(p.real >= field.drift - 1e-12)
+    assert np.all(p.real >= (1.0 - field.k) / (1.0 + field.k) - 1e-12)
 
 
 def test_field_validation():
@@ -140,7 +140,7 @@ def test_evolve_speed_limit():
     field = small_field(perturbed_identity(0.3))
     t = min(0.05, field.tau0)
     w = evolve(field, 0.0, t, 1 + 1j, step=1e-3)
-    assert abs(w - (1 + 1j)) <= field.K * t + 1e-8
+    assert abs(w - (1 + 1j)) <= (1.0 + field.k) / (1.0 - field.k) * t + 1e-8
 
 
 def test_evolve_validates_arguments():
@@ -201,7 +201,7 @@ def test_rightward_drift():
     s, t = 0.0, min(0.05, field.tau0)
     z = np.array([0.3 + 1j, 1.0, 2.0 - 3j])
     w = evolve(field, s, t, z, step=1e-3)
-    assert np.all(w.real - z.real >= field.drift * (t - s) - 1e-8)
+    assert np.all(w.real - z.real >= (1.0 - field.k) / (1.0 + field.k) * (t - s) - 1e-8)
 
 
 # -- horizon scan ---------------------------------------------------------------
