@@ -37,7 +37,6 @@ from .loewner import (
     HorizonResult,
     evolve,
     evolve_trace,
-    family_derivatives,
     family_ht,
     pde_residual,
     tau0_scan,
@@ -49,7 +48,6 @@ from .extension import (
     mu_formula,
     qc_report,
     trace_extend,
-    wirtinger_mu,
 )
 from .carleson import (
     BigBoxSplit,

@@ -21,7 +21,8 @@ of a scan together, at most CALL_NODES nodes per density call.  A box
 that is not finite and nonempty raises ValueError on entry, and one that
 needs more than MAX_PANELS panels, or a panel narrower than MIN_WIDTH
 times its side, QuadratureError.  bigbox_decomposition runs the engine
-once per density for all its lengths.
+three times for all its lengths: the composite density over the whole
+boxes and over their parts beyond the strip, the inner one on the strip.
 
 Densities provided:
 
@@ -359,11 +360,11 @@ def bigbox_decomposition(
 
     The inner part integrates (2x)^3 |Sh(x+iy)|^2 / 4 over the reflected
     region on H (an algebraically equal but separately coded expression);
-    the outer part integrates |outer(z+t)|^2/(-2 Re z) over t < -Re z < |I|,
-    so it is 0 for |I| <= t.
+    the outer part integrates the composite density over t < -Re z < |I|,
+    where it reads the outer field, so it is 0 for |I| <= t.
     """
-    total = _integrate_boxes(composite_density(h, t, outer),
-                             [(center_y, L, 0.0, L) for L in lengths], rel_tol)
+    density = composite_density(h, t, outer)
+    total = _integrate_boxes(density, [(center_y, L, 0.0, L) for L in lengths], rel_tol)
 
     def _inner(z):
         s = derivative_ratios(h.jet(z))[1]
@@ -374,12 +375,7 @@ def bigbox_decomposition(
     outer_mass = np.zeros(len(lengths))
     big = [i for i, L in enumerate(lengths) if L > t]
     if outer is not None and big:
-        def _outer(z):
-            m = outer(z + t)
-            return np.abs(m) ** 2 / (-2.0 * np.real(z))
-
-        outer_mass[big] = _integrate_boxes(Density("bigbox-outer", "H*", _outer),
-                                           [(center_y, lengths[i], t, lengths[i]) for i in big],
-                                           rel_tol)
+        outer_mass[big] = _integrate_boxes(density, [(center_y, lengths[i], t, lengths[i])
+                                                     for i in big], rel_tol)
     return [BigBoxSplit(L, center_y, a / L, b / L, c / L)
             for L, a, b, c in zip(lengths, total, inner, outer_mass)]

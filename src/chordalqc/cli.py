@@ -190,6 +190,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _horizon(text: str) -> float:
+    """A finite, positive float: the argparse ``type`` of every ``--tau`` flag."""
+    value = _number(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"nonpositive horizon {text!r}")
+    return value
+
+
 def _number_list(text: str) -> list:
     """Comma-separated finite numbers, blank items skipped: an argparse ``type``."""
     try:
@@ -274,7 +282,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--t", type=_number, required=required, help="end time")
     p.add_argument("--z", required=required, help="start point, re+imi")
     p.add_argument("--step", type=_number, default=1e-3, help="RK4 step")
-    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
@@ -294,7 +302,7 @@ def build_parser(required: bool = True) -> _Parser:
     _add_variant(p)
     p.add_argument("--z", required=required, help="semicolon-separated points")
     p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
@@ -306,7 +314,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--fd-tol", type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     p.add_argument("--summary-only", action="store_true", help="omit per-sample rows")
     _add_grid(p)
     _add_common(p, fmt_choices=())
@@ -322,7 +330,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="equality tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
@@ -331,7 +339,7 @@ def build_parser(required: bool = True) -> _Parser:
     p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
     _add_variant(p)
     p.add_argument("--k", type=_number, default=0.5, help="level for the mu-density horizon")
-    p.add_argument("--tau", type=_number, default=None, help="horizon override (skips the scan)")
+    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     p.add_argument("--scales", type=_number_list, default=None,
                    help="comma-separated |I| values (default dyadic 1..2^-10)")
     p.add_argument("--positions", type=_number_list, default=None, help="comma-separated center_y values")
@@ -470,11 +478,10 @@ def _cmd_pde_check(ns):
     if ns.t_cap < 0:
         raise ValueError(f"--t-cap must be finite and nonnegative, got {ns.t_cap}")
     m = parse_map_spec(ns.map)
-    field = loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
+    t_hi = min(ns.t_cap, _horizon_for(ns, m))
     rng = np.random.default_rng(ns.seed)
     n = ns.samples
     z = rng.uniform(0.01, 5.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
-    t_hi = min(ns.t_cap, field.tau0)
     ts = rng.uniform(0.0, t_hi, n)
     worst = float(np.max(loewner_mod.pde_residual(m, ns.variant, z, ts)))
     passed = worst <= ns.tol

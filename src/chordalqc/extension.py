@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, EvaluationError, HorizonError
+from .errors import EvaluationError, HorizonError
 from .jets import _first_center
 from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht
 from .maps import ConformalMap
@@ -92,21 +92,6 @@ def _wirtinger_pair(F, z, step: float):
     d_z = 0.5 * (fx - 1j * fy)
     d_zbar = 0.5 * (fx + 1j * fy)
     return d_z, d_zbar
-
-
-def wirtinger_mu(F, z, step: float):
-    """Central-difference Wirtinger derivatives and dilatation of F at z.
-
-    Returns (d_z, d_zbar, mu); raises DegenerateSampleError when |d_z|
-    falls under 100*eps/step, where the ratio is numerically meaningless.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    d_z, d_zbar = _wirtinger_pair(F, z, step)
-    floor = 100 * np.finfo(float).eps / step
-    if abs(complex(d_z)) < floor:
-        raise DegenerateSampleError(f"|d_z| = {abs(complex(d_z)):.3e} below {floor:.3e} at z={z!r}")
-    return d_z, d_zbar, d_zbar / d_z
 
 
 def _mirror_levels(tau: float, fd_step: float = DEFAULT_FD_STEP, grid: StripGrid | None = None,

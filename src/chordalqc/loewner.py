@@ -128,13 +128,6 @@ def family_ht(h: ConformalMap, variant: str, t: float, z):
     return c0 - 2 * t * c1 / den
 
 
-def family_derivatives(h: ConformalMap, variant: str, t: float, z):
-    """Closed-form (d/dt, d/dz) of the chain member."""
-    _check_variant(variant)
-    c1, pf, sf = _terms(h, z, t)
-    return _chain_derivatives(variant, c1, pf, sf, z, t)
-
-
 def pde_residual(h: ConformalMap, variant: str, z, t: float):
     """|dh_t/dt + p(z,t) dh_t/dz|; identically zero in exact arithmetic."""
     _check_variant(variant)

@@ -277,7 +277,7 @@ def test_bigbox_lengths_share_one_engine_run_per_density(monkeypatch):
 
     monkeypatch.setattr(carleson_mod, "_integrate_boxes", counted)
     batch = bigbox_decomposition(h, t, 0.0, lengths, outer=outer)
-    assert runs == [f"mu-tilde:{h.name}", "bigbox-inner", "bigbox-outer"]
+    assert runs == [f"mu-tilde:{h.name}", "bigbox-inner", f"mu-tilde:{h.name}"]
     assert [s.length for s in batch] == lengths
     for a, b in zip(batch, single):
         for field in ("total", "inner_term", "outer_term"):
@@ -287,6 +287,26 @@ def test_bigbox_lengths_share_one_engine_run_per_density(monkeypatch):
             assert a.outer_term == 0.0
         else:
             assert a.outer_term > 0.0
+
+
+@pytest.mark.parametrize("h", [perturbed_identity(0.3), half_strip_g()], ids=lambda h: h.name)
+def test_bigbox_outer_term_is_the_outer_field_density_bit_for_bit(h):
+    # the outer boxes run on the composite density; the reference codes the outer
+    # density |outer(z + t)|^2 / (-2 Re z) on its own
+    t, center_y, rel_tol = 0.25, 0.5, 1e-8
+    outer = lambda w: 0.2 * w / (w - 1.0)  # varies with z, |outer| < 0.2 on Re w < 0
+
+    def reference(z):
+        return np.abs(outer(z + t)) ** 2 / (-2.0 * np.real(z))
+
+    lengths = [t / 2, t, 2 * t, 3 * t, 8 * t]
+    splits = bigbox_decomposition(h, t, center_y, lengths, outer=outer, rel_tol=rel_tol)
+    big = [L for L in lengths if L > t]
+    want = carleson_mod._integrate_boxes(Density("outer-reference", "H*", reference),
+                                         [(center_y, L, t, L) for L in big], rel_tol)
+    assert [s.outer_term for s in splits if s.length > t] == (want / np.array(big)).tolist()
+    assert [s.outer_term for s in splits if s.length <= t] == [0.0, 0.0]
+    assert all(v > 0.0 for v in want)
 
 
 def test_density_validates_side():

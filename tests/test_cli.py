@@ -359,12 +359,25 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --fd-tol: non-finite number 'inf'"),
     (["eval", "--map", "identity", "--z", ";"], "no points in ';'"),
     (["extend", "--map", "identity", "--tau", "0.5", "--z", " ; "], "no points in ' ; '"),
+    (["extend", "--map", "identity", "--z=-0.1+1i", "--tau", "-1"],
+     "argument --tau: nonpositive horizon '-1'"),
+    (["extend", "--map", "identity", "--z=-0.1+1i", "--tau", "0"],
+     "argument --tau: nonpositive horizon '0'"),
+    (["evolve", "--map", "identity", "--t", "0.1", "--z", "1+1i", "--tau", "-0.5"],
+     "argument --tau: nonpositive horizon '-0.5'"),
+    (["verify-mu", "--map", "identity", "--tau", "-1"],
+     "argument --tau: nonpositive horizon '-1'"),
+    (["trace-check", "--map", "identity", "--tau", "-1"],
+     "argument --tau: nonpositive horizon '-1'"),
+    (["carleson", "--map", "identity", "--density", "mu", "--tau", "-1"],
+     "argument --tau: nonpositive horizon '-1'"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
         "trace-check-tol-negative", "pde-check-tol-negative", "carleson-rel-tol-negative",
         "mu-tilde-rel-tol-negative", "verify-mu-fd-tol-inf", "eval-no-points",
-        "extend-no-points"])
+        "extend-no-points", "extend-tau-negative", "extend-tau-0", "evolve-tau-negative",
+        "verify-mu-tau-negative", "trace-check-tau-negative", "carleson-tau-negative"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chordalqc import extension, schwarz
 from chordalqc.cli import _SAMPLE_CHUNK, _json_doc, main
-from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
+from chordalqc.errors import EvaluationError, HorizonError
 from chordalqc.extension import (
     QCReport,
     extend,
@@ -20,7 +20,6 @@ from chordalqc.extension import (
     mu_formula,
     qc_report,
     trace_extend,
-    wirtinger_mu,
 )
 from chordalqc.loewner import VARIANTS, HerglotzField, family_ht, pde_residual, tau0_scan
 from chordalqc.maps import (
@@ -109,27 +108,17 @@ def test_mu_requires_left_half_plane():
 
 
 def test_wirtinger_analytic():
-    d_z, d_zbar, mu = wirtinger_mu(lambda z: z, 0.3 + 0.2j, 1e-5)
+    d_z, d_zbar = extension._wirtinger_pair(lambda z: z, 0.3 + 0.2j, 1e-5)
     assert abs(d_z - 1) <= 1e-10
     assert abs(d_zbar) <= 1e-10
-    assert abs(mu) <= 1e-10
+    assert abs(d_zbar / d_z) <= 1e-10
 
 
 def test_wirtinger_linear_mix_exact():
-    d_z, d_zbar, mu = wirtinger_mu(lambda z: z + 0.5 * z.conjugate(), 1 + 1j, 1e-5)
+    d_z, d_zbar = extension._wirtinger_pair(lambda z: z + 0.5 * z.conjugate(), 1 + 1j, 1e-5)
     assert abs(d_z - 1) <= 1e-10
     assert abs(d_zbar - 0.5) <= 1e-10
-    assert abs(mu - 0.5) <= 1e-10
-
-
-def test_wirtinger_antianalytic_degenerate():
-    with pytest.raises(DegenerateSampleError):
-        wirtinger_mu(lambda z: z.conjugate(), 1 + 1j, 1e-5)
-
-
-def test_wirtinger_validates_step():
-    with pytest.raises(ValueError):
-        wirtinger_mu(lambda z: z, 0j, -1e-5)
+    assert abs(d_zbar / d_z - 0.5) <= 1e-10
 
 
 # -- trace vs closed form ----------------------------------------------------------
@@ -224,7 +213,7 @@ def test_fd_identity_second_order_convergence():
 def test_moebius_extension_is_holomorphic_in_strip():
     m = moebius(1, 2, 0, 1)  # z + 2
     for z in (-0.05 + 1j, -0.2 - 0.5j):
-        _, d_zbar, _ = wirtinger_mu(lambda w: extend(m, "schwarzian", w), z, 1e-5)
+        _, d_zbar = extension._wirtinger_pair(lambda w: extend(m, "schwarzian", w), z, 1e-5)
         assert abs(d_zbar) <= 1e-8
     # same statement over a whole report grid
     rep = qc_report(m, "schwarzian", _small_tau(m, "schwarzian"), k=0.5, grid=SMALL_GRID,
@@ -281,6 +270,13 @@ def test_qc_report_rejects_bad_fd_tolerance(tolerance):
         qc_report(identity(), "schwarzian", 0.5, fd_tolerance=tolerance, grid=SMALL_GRID,
                   nx=3, ny=3)
     assert str(exc.value) == f"fd_tolerance must be finite and nonnegative, got {tolerance}"
+
+
+@pytest.mark.parametrize("step", [-1e-5, 0.0, math.nan], ids=["negative", "zero", "nan"])
+def test_qc_report_rejects_bad_fd_step(step):
+    with pytest.raises(ValueError) as exc:
+        qc_report(identity(), "schwarzian", 0.5, fd_step=step, grid=SMALL_GRID, nx=3, ny=3)
+    assert str(exc.value) == f"fd_step must be finite and positive, got {step}"
 
 
 def test_qc_report_json_shape():
