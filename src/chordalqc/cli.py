@@ -44,24 +44,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-_WRITE_SLICE = 2 ** 20  # characters per write, so no encoded copy of a whole report is made
+_WRITE_SLICE = 2 ** 20  # bytes per write, so no text copy of a whole report is made
 
 
-def _write_sliced(fh, text: str):
-    for a in range(0, len(text), _WRITE_SLICE):
-        fh.write(text[a:a + _WRITE_SLICE])
+def _write_sliced(fh, data: bytes):
+    """Write the ASCII report ``data`` to the text stream ``fh``, decoding one
+    slice at a time: the stream's newline handling and any stream that
+    replaces it (a redirected or captured stdout) see text as before."""
+    with memoryview(data) as view:
+        for a in range(0, len(view), _WRITE_SLICE):
+            fh.write(str(view[a:a + _WRITE_SLICE], "ascii"))
 
 
-def _atomic_write(text: str, path: str | None):
+def _atomic_write(data: bytes, path: str | None):
+    """Write the ASCII report ``data`` to ``path`` through a temporary file
+    renamed into place, or to stdout when ``path`` is None."""
     if path is None:
-        _write_sliced(sys.stdout, text)
+        _write_sliced(sys.stdout, data)
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chordalqc-")
     try:
         with os.fdopen(fd, "w") as fh:
-            _write_sliced(fh, text)
+            _write_sliced(fh, data)
         # mkstemp creates 0600; give the file the mode open(path, "w") gives a new one
         umask = os.umask(0)
         os.umask(umask)
@@ -77,11 +83,11 @@ def _num(v) -> str:
     return repr(float(v))
 
 
-def _csv(header, rows) -> str:
+def _csv(header, rows) -> bytes:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_num(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # one verify-mu sample as json.dumps(indent=2) lays it out inside the report
@@ -134,30 +140,32 @@ def _json_samples(columns, start: int, stop: int) -> str:
     return "".join(parts)
 
 
-def _json_doc(doc) -> str:
-    """Indented JSON text of ``doc``.
+def _json_doc(doc) -> bytes | bytearray:
+    """Indented JSON of ``doc`` as ASCII bytes.
 
     A :class:`QCReport` is written as ``json.dumps`` would write its
     ``to_json_dict()``, byte for byte, but the sample block is formatted
     straight from the report's columns: in chunks of ``_SAMPLE_CHUNK``
     samples, each chunk's fields interleaved with the sample template by
-    slices and joined once.  The chunks and the document they are joined
-    into are the only copies of the text.
+    slices.  Each chunk is appended to one buffer as soon as it is made, so
+    the buffer and one chunk are the only copies of the text.
     """
     if isinstance(doc, ext_mod.QCReport) and doc.points is None:
         doc = doc.to_json_dict()
     if not isinstance(doc, ext_mod.QCReport):
-        return json.dumps(doc, indent=2) + "\n"
+        return (json.dumps(doc, indent=2) + "\n").encode("ascii")
     head = json.dumps(dataclasses.replace(doc, points=None).to_json_dict(), indent=2)
     # head ends with the document's closing "\n}"; samples is its last key
     head = head[:-2] + ',\n  "samples": '
     columns = doc.sample_columns()
     n = columns[0].size
     if not n:
-        return head + "[]\n}\n"
-    chunks = [_json_samples(columns, a, min(a + _SAMPLE_CHUNK, n))
-              for a in range(0, n, _SAMPLE_CHUNK)]
-    return "".join([head, "[", *chunks, "\n  ]\n}\n"])
+        return (head + "[]\n}\n").encode("ascii")
+    out = bytearray((head + "[").encode("ascii"))
+    for a in range(0, n, _SAMPLE_CHUNK):
+        out += _json_samples(columns, a, min(a + _SAMPLE_CHUNK, n)).encode("ascii")
+    out += b"\n  ]\n}\n"
+    return out
 
 
 def _complex_list(text: str) -> list:
@@ -395,14 +403,14 @@ def _config_argv(ns: argparse.Namespace, argv) -> list:
 
 
 # -- handlers ----------------------------------------------------------------
-# Each returns (report, exit code): a JSON document, (header, rows) for CSV, or text.
+# Each returns (report, exit code): a JSON document, (header, rows) for CSV, or ASCII text.
 
 
 def _cmd_maps_list(ns):
     if ns.format == "json":
         return [{"spec": s, "description": d} for s, d in CATALOG_SPECS], 0
     width = max(len(s) for s, _ in CATALOG_SPECS)
-    return "".join(f"{s.ljust(width)}  {d}\n" for s, d in CATALOG_SPECS), 0
+    return "".join(f"{s.ljust(width)}  {d}\n" for s, d in CATALOG_SPECS).encode("ascii"), 0
 
 
 def _cmd_eval(ns):
@@ -625,9 +633,13 @@ def main(argv=None) -> int:
             argv = _config_argv(build_parser(required=False).parse_args(argv), argv)
         ns = build_parser().parse_args(argv)
         report, code = _HANDLERS[ns.command](ns)
+        if heap is not None:
+            heap.malloc_trim(0)  # the scan's kept heap goes back before the report is built
         if isinstance(report, tuple):
             report = _csv(*report)
-        _atomic_write(report if isinstance(report, str) else _json_doc(report), ns.out)
+        elif not isinstance(report, bytes):
+            report = _json_doc(report)
+        _atomic_write(report, ns.out)
         return code
     except HorizonError as exc:
         sys.stderr.write(f"chordalqc: {exc}\n")
@@ -642,7 +654,7 @@ def main(argv=None) -> int:
         return _USAGE_EXIT
     finally:
         if heap is not None:
-            heap.malloc_trim(0)  # the next command in this process starts from a trimmed heap
+            heap.malloc_trim(0)  # after an error too, the next command starts from a trimmed heap
 
 
 if __name__ == "__main__":

@@ -144,7 +144,8 @@ class Jet:
     # -- ring operations ---------------------------------------------------
 
     def _check_center(self, other: "Jet"):
-        if not _same_value(self.center, other.center):
+        # jets of one computation share their center object, so identity settles most checks
+        if self.center is not other.center and not _same_value(self.center, other.center):
             raise EvaluationError(
                 f"jet center mismatch: {self.center!r} vs {other.center!r}"
             )

@@ -424,14 +424,53 @@ SINGLE_WRITER_CASES = {
 }
 
 
-@pytest.mark.parametrize("args", SINGLE_WRITER_CASES.values(), ids=SINGLE_WRITER_CASES.keys())
-def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, args):
+def _stdout_and_out_file_bytes(tmp_path, capsys, args) -> bytes:
     code = run(args)
     stdout = capsys.readouterr().out.encode()
     out = tmp_path / "report"
     assert run([*args, "--out", str(out)]) == code
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == stdout
+    return stdout
+
+
+@pytest.mark.parametrize("args", SINGLE_WRITER_CASES.values(), ids=SINGLE_WRITER_CASES.keys())
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, args):
+    _stdout_and_out_file_bytes(tmp_path, capsys, args)
+
+
+def test_out_file_holds_the_stdout_bytes_across_sample_chunks(tmp_path, capsys, monkeypatch):
+    # 15 samples in chunks of 4: the report's buffer grows over 4 chunks
+    args = ["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "5", *FAST_GRID]
+    assert run(args) == 0
+    one_chunk = capsys.readouterr().out.encode()
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 4)
+    assert _stdout_and_out_file_bytes(tmp_path, capsys, args) == one_chunk
+    assert len(json.loads(one_chunk)["samples"]) == 15
+
+
+# one report of each kind: CSV, a small JSON document, the maps-list text, a full verify-mu
+WRITE_SIZE_CASES = {
+    "norms": ["norms", "--map", "perturbed-identity:0.3", "--t", "1,0.1", *FAST_GRID],
+    "horizon": ["horizon", "--map", "perturbed-identity:0.3", *FAST_GRID],
+    "maps-list": ["maps-list"],
+    "verify-mu": ["verify-mu", "--map", "perturbed-identity:0.3", *FAST_GRID],
+}
+
+
+@pytest.mark.parametrize("args", WRITE_SIZE_CASES.values(), ids=WRITE_SIZE_CASES.keys())
+def test_written_report_length_is_the_out_file_size(tmp_path, monkeypatch, args):
+    # a wrapper around the writer may size each write by len() of the report it is given
+    sizes, write = [], cli._atomic_write
+
+    def recording_write(data, path):
+        sizes.append(len(data))
+        write(data, path)
+
+    monkeypatch.setattr(cli, "_atomic_write", recording_write)
+    out = tmp_path / "report"
+    assert run([*args, "--out", str(out)]) == 0
+    assert sizes == [out.stat().st_size] and sizes[0] > 0
 
 
 def test_out_file_mode_follows_umask(tmp_path):
