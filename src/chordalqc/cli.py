@@ -199,7 +199,8 @@ def _tolerance(text: str) -> float:
 
 
 def _horizon(text: str) -> float:
-    """A finite, positive float: the argparse ``type`` of every ``--tau`` flag."""
+    """A finite, positive float: the argparse ``type`` of every horizon override
+    (``--tau``, and ``mu-tilde --t``)."""
     value = _number(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"nonpositive horizon {text!r}")
@@ -358,7 +359,7 @@ def build_parser(required: bool = True) -> _Parser:
 
     p = add("mu-tilde", help="composite dilatation box decomposition")
     p.add_argument("--map", required=required)
-    p.add_argument("--t", type=_number, default=None, help="strip width (default: horizon at --k)")
+    p.add_argument("--t", type=_horizon, default=None, help="strip width (default: horizon at --k)")
     p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
                    help="outer dilatation beyond the strip")
@@ -607,7 +608,7 @@ def _glibc_heap():
     A strip scan's blocks each allocate and free megabytes of 256 KiB arrays, which glibc
     would hand back to the kernel for the next block to fault in again.  Kept instead:
     arrays up to 1 MiB on the heap, up to 8 MiB of free heap per block in flight, and one
-    arena, so that no helper thread's arena sits idle with pages kept."""
+    arena, so that no scan thread's arena sits idle with pages kept."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return None

@@ -214,18 +214,15 @@ def evolve_trace(field: HerglotzField, s: float, t: float, z, step: float = 1e-3
 class HorizonResult:
     """Largest grid-certified time with the variant's strip norm <= k."""
 
-    map_name: str
-    variant: str
-    k: float
     t_star: float
     x_levels: np.ndarray
     level_sup: np.ndarray
 
     def profile_rows(self):
-        running = 0.0
-        for x, v in zip(self.x_levels, self.level_sup):
-            running = max(running, float(v))
-            yield (float(x), float(v), running)
+        """(x, level sup, prefix sup) per level; the prefix is the one ``tau0_scan``
+        certifies with, so a NaN level carries into every later prefix."""
+        prefix = np.maximum.accumulate(self.level_sup)
+        return zip(self.x_levels.tolist(), self.level_sup.tolist(), prefix.tolist())
 
     CSV_HEADER = ("x", "level_sup", "prefix_sup")
 
@@ -257,5 +254,5 @@ def tau0_scan(
             f"norm {float(prefix[0]):.6g} at smallest scanned level"
         )
     idx = int(ok.sum()) - 1
-    return HorizonResult(h.name, variant, k, float(xs[idx]), xs, level_sup)
+    return HorizonResult(float(xs[idx]), xs, level_sup)
 

@@ -84,7 +84,6 @@ class StripGrid:
 class NormProfile:
     """beta/sigma strip sups per t, with the maximizing grid points."""
 
-    map_name: str
     t_values: tuple
     beta: tuple
     sigma: tuple
@@ -159,52 +158,40 @@ def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
     levels ``a:b`` of each block of the grid ``xs`` by ``ys``: the one strip-grid evaluator.
 
     Blocks hold whole levels and at least ``BLOCK_POINTS`` points (a short tail
-    joins the block before it).  They run on one thread per CPU of the process,
-    at most ``MAX_WORKERS``, this one among them; ``run`` writes only its own
-    levels, so results do not depend on the thread count.  Blocks are handed out
-    in order and none starts after one has failed: the exception raised is the
-    lowest-numbered failing block's, as in a serial loop.
+    joins the block before it).  A pool of one thread per CPU of the process, at most
+    ``MAX_WORKERS``, runs them while this thread waits; ``run`` writes only its own
+    levels, so results do not depend on the thread count.  No block starts once a
+    lower-numbered one has failed or this thread has left, no pool thread outlives the
+    call, and the exception raised is the lowest-numbered failing block's, as in a serial loop.
     """
-    import threading
+    from concurrent.futures import ThreadPoolExecutor, wait
 
     rows = -(-BLOCK_POINTS // ys.size)  # levels per block, rounded up
     starts = list(range(0, xs.size, rows))
     if len(starts) > 1 and xs.size - starts[-1] < rows:
         starts.pop()
     blocks = list(zip(starts, starts[1:] + [xs.size]))
-    workers = min(_cpu_count(), MAX_WORKERS, len(blocks))
-    lock = threading.Lock()
-    failed = {}  # block index -> exception
-    next_block = 0
-    stop = False
+    failed = []  # numbers of the blocks that raised, -1 once this thread has left
 
-    def work():
-        nonlocal next_block
-        while True:
-            with lock:
-                if stop or failed or next_block == len(blocks):
-                    return
-                i = next_block
-                next_block += 1
-            a, b = blocks[i]
-            try:
-                run(a, b, xs[a:b, None] + 1j * ys[None, :])
-            except BaseException as exc:  # handed to the calling thread, which raises it
-                with lock:
-                    failed[i] = exc
-                return
+    def work(i):
+        if min(failed, default=i) < i:
+            return  # a serial loop would have stopped at the lower failure
+        a, b = blocks[i]
+        try:
+            run(a, b, xs[a:b, None] + 1j * ys[None, :])
+        except BaseException:
+            failed.append(i)
+            raise
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        stop = True
-        for t in helpers:
-            t.join()
-    if failed:
-        raise failed[min(failed)]
+    with ThreadPoolExecutor(min(_cpu_count(), MAX_WORKERS, len(blocks))) as pool:
+        try:
+            futures = [pool.submit(work, i) for i in range(len(blocks))]
+            wait(futures)  # wakes this thread once; a wake-up per block preempts a pool thread
+        except BaseException:
+            failed.append(-1)
+            raise
+    for future in futures:
+        future.result()
 
 
 def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
@@ -254,7 +241,5 @@ def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> No
             i = int(np.argmax(level_max[:k]))
             vals.append(float(level_max[i]))
             args.append(complex(level_arg[i]))
-    return NormProfile(
-        m.name, tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s)
-    )
+    return NormProfile(tuple(ts), tuple(betas), tuple(sigmas), tuple(arg_b), tuple(arg_s))
 

@@ -371,13 +371,16 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --tau: nonpositive horizon '-1'"),
     (["carleson", "--map", "identity", "--density", "mu", "--tau", "-1"],
      "argument --tau: nonpositive horizon '-1'"),
+    (["mu-tilde", "--map", "identity", "--t", "-1"], "argument --t: nonpositive horizon '-1'"),
+    (["mu-tilde", "--map", "identity", "--t", "0"], "argument --t: nonpositive horizon '0'"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
         "trace-check-tol-negative", "pde-check-tol-negative", "carleson-rel-tol-negative",
         "mu-tilde-rel-tol-negative", "verify-mu-fd-tol-inf", "eval-no-points",
         "extend-no-points", "extend-tau-negative", "extend-tau-0", "evolve-tau-negative",
-        "verify-mu-tau-negative", "trace-check-tau-negative", "carleson-tau-negative"])
+        "verify-mu-tau-negative", "trace-check-tau-negative", "carleson-tau-negative",
+        "mu-tilde-t-negative", "mu-tilde-t-0"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

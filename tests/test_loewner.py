@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,16 @@ from chordalqc.loewner import (
     pde_residual,
     tau0_scan,
 )
-from chordalqc.maps import counterexample_f, half_strip_g, identity, perturbed_identity, square_map
+from chordalqc.jets import Jet
+from chordalqc.maps import (
+    DOMAIN_H,
+    ConformalMap,
+    counterexample_f,
+    half_strip_g,
+    identity,
+    perturbed_identity,
+    square_map,
+)
 from chordalqc.schwarz import StripGrid, derivative_ratios
 
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
@@ -238,6 +250,30 @@ def test_profile_rows_monotone_prefix():
     rows = list(res.profile_rows())
     prefix = [r[2] for r in rows]
     assert all(b >= a for a, b in zip(prefix, prefix[1:]))
+
+
+def test_profile_prefix_carries_a_nan_level_as_the_horizon_does():
+    # Sf = inf - inf beyond Re z = 0.05: the horizon stops at the last level before it,
+    # and the prefix column turns NaN there too instead of keeping the finite sups' max
+    def formula(w):
+        # f', f'', f''' are 1, 0, 0 near the axis; beyond, f' = 1e-300 makes both
+        # f'''/f' and (f''/f')^2 overflow
+        far = w.center.real > 0.05
+        f1, f2, f3 = (np.where(far, v, near) + 0j
+                      for v, near in ((1e-300, 1.0), (1.0, 0.0), (1e10, 0.0)))
+        return Jet(w.center, (w.center, f1, f2, f3))
+
+    grid = StripGrid(points_per_decade=4, y_count=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow and inf - inf
+        res = tau0_scan(ConformalMap("fake", DOMAIN_H, formula), "schwarzian", grid=grid)
+    rows = list(res.profile_rows())
+    assert res.t_star == max(x for x, _, _ in rows if x <= 0.05)
+    for x, level_sup, prefix_sup in rows:
+        if x <= 0.05:
+            assert level_sup == prefix_sup == 0.0
+        else:
+            assert math.isnan(level_sup) and math.isnan(prefix_sup)
 
 
 # -- distortion and injectivity -------------------------------------------------

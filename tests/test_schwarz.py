@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -133,7 +132,7 @@ def test_norm_profile_rows_and_argmax():
 
 def test_profile_monotonicity_guard():
     with pytest.raises(ValueError):
-        NormProfile("x", (1.0, 0.1), (0.0, 1.0), (0.0, 0.0), (0j, 0j), (0j, 0j))
+        NormProfile((1.0, 0.1), (0.0, 1.0), (0.0, 0.0), (0j, 0j), (0j, 0j))
 
 
 def test_sup_implication_constant():
@@ -261,29 +260,36 @@ def test_concurrent_scan_raises_error_of_first_failing_block(monkeypatch):
 
 
 def test_concurrent_scan_starts_no_block_after_a_failure(monkeypatch):
-    # while the calling thread evaluates a block, the helper thread's block fails;
-    # the calling thread's block then succeeds, and no other block starts
-    caller = threading.current_thread()
-    main_started = threading.Event()
-    helpers, started = [], []
+    # on two pool threads block 1 fails at once; block 0 then waits up to a second for
+    # block 2 to start and succeeds: no block after the failure starts, so block 2 never
+    # does, and the scan raises block 1's error
+    xs = SMALL_GRID.x_levels(1.0)
+    block_2_started = threading.Event()
+    started = []
 
     def formula(w):
-        started.append(w.center)
-        if threading.current_thread() is not caller:
-            helpers.append(threading.current_thread())
-            assert main_started.wait(timeout=30)
-            raise EvaluationError("failure on the helper thread")
-        main_started.set()
-        # the helper thread ends only after the scan has recorded its failure
-        while not helpers:
-            time.sleep(0.001)
-        helpers[0].join(timeout=30)
-        assert not helpers[0].is_alive()
+        block = int(np.searchsorted(xs, w.center.real.min())) // 4  # 4 levels per block
+        started.append(block)
+        if block == 1:
+            raise EvaluationError("failure in block 1")
+        if block == 2:
+            block_2_started.set()
+        block_2_started.wait(timeout=1)
         return w
 
-    with pytest.raises(EvaluationError, match="^failure on the helper thread$"):
+    with pytest.raises(EvaluationError, match="^failure in block 1$"):
         _two_thread_scan(monkeypatch, formula)
     assert len(started) == 2
+
+
+def test_no_thread_outlives_a_scan():
+    before = threading.enumerate()
+    grid = StripGrid(points_per_decade=512)
+    tau0_scan(counterexample_f(), "schwarzian", grid=grid)
+    assert threading.enumerate() == before
+    with pytest.raises(EvaluationError):  # the pole of z/(z-1) on the scan's last level
+        tau0_scan(moebius(1, 0, 1, -1), "schwarzian", grid=grid)
+    assert threading.enumerate() == before
 
 
 def _scan_peak_mb():
