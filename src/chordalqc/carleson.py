@@ -258,9 +258,14 @@ def carleson_scan(
     rel_tol: float = 1e-6,
     vanish_threshold: float = DEFAULT_VANISH_THRESHOLD,
 ) -> CarlesonReport:
-    """Full ratio table over dyadic scales and sliding positions."""
-    scales = tuple(sorted((float(s) for s in (scales or DEFAULT_SCALES)), reverse=True))
-    positions = tuple(float(p) for p in (positions or DEFAULT_POSITIONS))
+    """Full ratio table over dyadic scales and sliding positions; ``None``
+    means the defaults, and an empty ``scales`` or ``positions`` is an error."""
+    scales = tuple(sorted((float(s) for s in (DEFAULT_SCALES if scales is None else scales)),
+                          reverse=True))
+    positions = tuple(float(p) for p in (DEFAULT_POSITIONS if positions is None else positions))
+    for name, values in (("scales", scales), ("positions", positions)):
+        if not values:
+            raise ValueError(f"{name} is empty (None means the defaults)")
     boxes = [(cy, sc, 0.0, sc) for sc in scales for cy in positions]
     mass = _integrate_boxes(density, boxes, rel_tol).reshape(len(scales), len(positions))
     table = mass / np.array(scales)[:, None]

@@ -6,10 +6,11 @@ produces byte-identical output.
 Exit codes: 0 success/PASS, 2 computed FAIL (a bound violated, no
 horizon at the requested level), 1 usage or evaluation error.
 
-Map specs follow the mini-grammar of :mod:`chordalqc.maps`
-(``name[:params]``, ``compose:<outer>,<inner>``); numbers are ``re`` or
-``re+imi``.  A JSON file passed through ``--config`` supplies defaults
-for any flag not given explicitly; flags win.
+Map specs follow the mini-grammar of :mod:`chordalqc.maps` (``name[:params]``,
+``compose:<outer>,<inner>``); numbers are ``re``, ``re+imi``, ``imi``, ``i`` or
+``-i``.  Argparse types convert every flag, so handlers get maps and points and
+a bad value is a usage error naming its flag.  A JSON file passed through
+``--config`` supplies defaults for any flag not given explicitly; flags win.
 """
 
 from __future__ import annotations
@@ -176,6 +177,16 @@ def _complex_list(text: str) -> list:
     return points
 
 
+def _arg_type(parse):
+    """``parse`` as an argparse ``type``: its ValueError is a usage error naming the flag."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite number '{value}'")
@@ -204,6 +215,14 @@ def _horizon(text: str) -> float:
     value = _number(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"nonpositive horizon {text!r}")
+    return value
+
+
+def _level(text: str) -> float:
+    """A finite float in (0, 1): the argparse ``type`` of every ``--k``."""
+    value = _number(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"level outside (0,1) {text!r}")
     return value
 
 
@@ -256,6 +275,8 @@ def build_parser(required: bool = True) -> _Parser:
     for the parse that looks for ``--config`` (the file may supply them)."""
     top = _Parser(prog="chordalqc", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
+    # built per parser, so a parse_map_spec rebound after import is the one called
+    map_type, point_type, points_type = map(_arg_type, (parse_map_spec, parse_complex, _complex_list))
 
     def add(name, **kwargs):  # each subcommand's help lists its defaults
         return sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
@@ -264,61 +285,61 @@ def build_parser(required: bool = True) -> _Parser:
     _add_common(p, fmt_choices=("text", "json"), fmt_default="text")
 
     p = add("eval", help="order-3 jet of a map at points")
-    p.add_argument("--map", required=required, help="map spec")
-    p.add_argument("--z", required=required, help="semicolon-separated points, re+imi")
+    p.add_argument("--map", type=map_type, required=required, help="map spec")
+    p.add_argument("--z", type=points_type, required=required, help="semicolon-separated points, re+imi")
     _add_common(p)
 
     p = add("norms", help="beta/sigma strip-norm profile")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     p.add_argument("--t", type=_number_list, required=required,
                    help="comma-separated decreasing t values")
     _add_grid(p)
     _add_common(p)
 
     p = add("horizon", help="largest grid-certified horizon at level k")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--t-max", type=_number, default=1.0, help="scan range maximum")
     _add_grid(p)
     _add_common(p, fmt_default="json")
 
     p = add("evolve", help="RK4 trace of the evolution flow")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--s", type=_number, default=0.0, help="start time")
     p.add_argument("--t", type=_number, required=required, help="end time")
-    p.add_argument("--z", required=required, help="start point, re+imi")
+    p.add_argument("--z", type=point_type, required=required, help="start point, re+imi")
     p.add_argument("--step", type=_number, default=1e-3, help="RK4 step")
     p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
     p = add("pde-check", help="closed-form Loewner PDE residuals at random samples")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
     p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--tol", type=_tolerance, default=1e-10, help="residual tolerance")
     p.add_argument("--t-cap", type=_number, default=0.05, help="largest sampled time")
-    p.add_argument("--k", type=_number, default=0.5)
+    p.add_argument("--k", type=_level, default=0.5)
     _add_grid(p)
     _add_common(p, fmt_choices=())
 
     p = add("extend", help="extension values over the imaginary axis")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
-    p.add_argument("--z", required=required, help="semicolon-separated points")
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--z", type=points_type, required=required, help="semicolon-separated points")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     _add_grid(p)
     _add_common(p)
 
     p = add("verify-mu", help="dilatation identity and bound over the strip")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--fd-step", type=_number, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
     p.add_argument("--fd-tol", type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
@@ -333,9 +354,9 @@ def build_parser(required: bool = True) -> _Parser:
             "i Im z, with the closed-form extension at z.  Both code one identity "
             "and use the same jet, so this guards the algebra of the two formulas; "
             "it is not independent numerical evidence for the extension.")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     _add_variant(p)
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="equality tolerance")
     p.add_argument("--nx", type=int, default=None, help="override Re level count")
     p.add_argument("--ny", type=int, default=None, help="override Im sample count")
@@ -344,10 +365,10 @@ def build_parser(required: bool = True) -> _Parser:
     _add_common(p, fmt_choices=())
 
     p = add("carleson", help="Carleson box-ratio scan of a density")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
     _add_variant(p)
-    p.add_argument("--k", type=_number, default=0.5, help="level for the mu-density horizon")
+    p.add_argument("--k", type=_level, default=0.5, help="level for the mu-density horizon")
     p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
     p.add_argument("--scales", type=_number_list, default=None,
                    help="comma-separated |I| values (default dyadic 1..2^-10)")
@@ -358,9 +379,9 @@ def build_parser(required: bool = True) -> _Parser:
     _add_common(p)
 
     p = add("mu-tilde", help="composite dilatation box decomposition")
-    p.add_argument("--map", required=required)
+    p.add_argument("--map", type=map_type, required=required)
     p.add_argument("--t", type=_horizon, default=None, help="strip width (default: horizon at --k)")
-    p.add_argument("--k", type=_number, default=0.5, help="disk level in (0,1)")
+    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
     p.add_argument("--outer", choices=("none", "zero"), default="zero",
                    help="outer dilatation beyond the strip")
     p.add_argument("--scales", type=_number_list, default=None,
@@ -415,23 +436,21 @@ def _cmd_maps_list(ns):
 
 
 def _cmd_eval(ns):
-    m = parse_map_spec(ns.map)
-    jets = [(z, [complex(c) for c in m.jet(z).coeffs]) for z in _complex_list(ns.z)]
+    jets = [(z, [complex(c) for c in ns.map.jet(z).coeffs]) for z in ns.z]
     if ns.format == "csv":
         header = ["z_re", "z_im", *(f"c{k}_{p}" for k in range(ORDER + 1) for p in ("re", "im"))]
         return (header, [[z.real, z.imag, *(p for c in cs for p in (c.real, c.imag))]
                          for z, cs in jets]), 0
     doc = [{"z": [z.real, z.imag], "coeffs": [[c.real, c.imag] for c in cs]} for z, cs in jets]
-    return {"map": m.name, "jets": doc}, 0
+    return {"map": ns.map.name, "jets": doc}, 0
 
 
 def _cmd_norms(ns):
-    m = parse_map_spec(ns.map)
-    profile = norm_profile(m, ns.t, grid=_grid_from(ns))
+    profile = norm_profile(ns.map, ns.t, grid=_grid_from(ns))
     if ns.format == "csv":
         return (NormProfile.CSV_HEADER, profile.rows()), 0
     return {
-        "map": m.name,
+        "map": ns.map.name,
         "t": list(profile.t_values),
         "beta": list(profile.beta),
         "sigma": list(profile.sigma),
@@ -439,16 +458,15 @@ def _cmd_norms(ns):
 
 
 def _cmd_horizon(ns):
-    m = parse_map_spec(ns.map)
     try:
-        res = loewner_mod.tau0_scan(m, ns.variant, ns.k, grid=_grid_from(ns), t_max=ns.t_max)
+        res = loewner_mod.tau0_scan(ns.map, ns.variant, ns.k, grid=_grid_from(ns), t_max=ns.t_max)
     except HorizonError as exc:
         # JSON under --format csv too: the failure document has no rows
-        return {"map": m.name, "variant": ns.variant, "k": ns.k, "error": str(exc)}, _FAIL_EXIT
+        return {"map": ns.map.name, "variant": ns.variant, "k": ns.k, "error": str(exc)}, _FAIL_EXIT
     if ns.format == "csv":
         return (res.CSV_HEADER, res.profile_rows()), 0
     return {
-        "map": m.name,
+        "map": ns.map.name,
         "variant": ns.variant,
         "k": ns.k,
         "t_star": res.t_star,
@@ -456,19 +474,17 @@ def _cmd_horizon(ns):
     }, 0
 
 
-def _horizon_for(ns, m, variant=None):
+def _horizon_for(ns, variant=None):
     """The --tau override when given, else the grid-certified horizon at --k."""
     tau = getattr(ns, "tau", None)
     if tau is not None:
         return tau
-    return loewner_mod.tau0_scan(m, variant or ns.variant, ns.k, grid=_grid_from(ns)).t_star
+    return loewner_mod.tau0_scan(ns.map, variant or ns.variant, ns.k, grid=_grid_from(ns)).t_star
 
 
 def _cmd_evolve(ns):
-    m = parse_map_spec(ns.map)
-    field = loewner_mod.HerglotzField(m, ns.variant, ns.k, _horizon_for(ns, m))
-    z0 = parse_complex(ns.z)
-    states = loewner_mod.evolve_trace(field, ns.s, ns.t, z0, step=ns.step)
+    field = loewner_mod.HerglotzField(ns.map, ns.variant, ns.k, _horizon_for(ns))
+    states = loewner_mod.evolve_trace(field, ns.s, ns.t, ns.z, step=ns.step)
     rows = [
         (st.s, st.t, st.z0.real, st.z0.imag, st.z.real, st.z.imag, st.step,
          st.residual_estimate)
@@ -477,7 +493,7 @@ def _cmd_evolve(ns):
     header = ("s", "t", "z0_re", "z0_im", "z_re", "z_im", "step", "residual_estimate")
     if ns.format == "csv":
         return (header, rows), 0
-    return {"map": m.name, "variant": ns.variant, "k": ns.k, "tau": field.tau0,
+    return {"map": ns.map.name, "variant": ns.variant, "k": ns.k, "tau": field.tau0,
             "trace": [dict(zip(header, r)) for r in rows]}, 0
 
 
@@ -486,38 +502,35 @@ def _cmd_pde_check(ns):
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
     if ns.t_cap < 0:
         raise ValueError(f"--t-cap must be finite and nonnegative, got {ns.t_cap}")
-    m = parse_map_spec(ns.map)
-    t_hi = min(ns.t_cap, _horizon_for(ns, m))
+    t_hi = min(ns.t_cap, _horizon_for(ns))
     rng = np.random.default_rng(ns.seed)
     n = ns.samples
     z = rng.uniform(0.01, 5.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
     ts = rng.uniform(0.0, t_hi, n)
-    worst = float(np.max(loewner_mod.pde_residual(m, ns.variant, z, ts)))
+    worst = float(np.max(loewner_mod.pde_residual(ns.map, ns.variant, z, ts)))
     passed = worst <= ns.tol
     return {
-        "map": m.name, "variant": ns.variant, "samples": n, "seed": ns.seed,
+        "map": ns.map.name, "variant": ns.variant, "samples": n, "seed": ns.seed,
         "t_cap": t_hi, "max_residual": worst, "tol": ns.tol, "pass": passed,
     }, 0 if passed else _FAIL_EXIT
 
 
 def _cmd_extend(ns):
-    m = parse_map_spec(ns.map)
-    tau = _horizon_for(ns, m)
+    tau = _horizon_for(ns)
     rows = []
-    for z in _complex_list(ns.z):
-        v = complex(ext_mod.extend(m, ns.variant, z, tau=tau))
+    for z in ns.z:
+        v = complex(ext_mod.extend(ns.map, ns.variant, z, tau=tau))
         rows.append((z.real, z.imag, v.real, v.imag))
     header = ("z_re", "z_im", "value_re", "value_im")
     if ns.format == "csv":
         return (header, rows), 0
-    return {"map": m.name, "variant": ns.variant, "tau": tau,
+    return {"map": ns.map.name, "variant": ns.variant, "tau": tau,
             "values": [dict(zip(header, r)) for r in rows]}, 0
 
 
 def _cmd_verify_mu(ns):
-    m = parse_map_spec(ns.map)
     report = ext_mod.qc_report(
-        m, ns.variant, _horizon_for(ns, m), k=ns.k, fd_step=ns.fd_step,
+        ns.map, ns.variant, _horizon_for(ns), k=ns.k, fd_step=ns.fd_step,
         fd_tolerance=ns.fd_tol, grid=_grid_from(ns), nx=ns.nx, ny=ns.ny,
         samples=not ns.summary_only,
     )
@@ -525,34 +538,32 @@ def _cmd_verify_mu(ns):
 
 
 def _cmd_trace_check(ns):
-    m = parse_map_spec(ns.map)
-    tau = _horizon_for(ns, m)
+    tau = _horizon_for(ns)
     # pull the deepest level just inside the horizon
     xs, ys = ext_mod._mirror_levels(tau, 1e-9, _grid_from(ns), ns.nx, ns.ny)
     level_max = np.empty(xs.size)
 
     def run(a, b, mesh):
-        via_trace = ext_mod.trace_extend(m, ns.variant, mesh)
-        via_formula = ext_mod.extend(m, ns.variant, mesh, tau=tau)
+        via_trace = ext_mod.trace_extend(ns.map, ns.variant, mesh)
+        via_formula = ext_mod.extend(ns.map, ns.variant, mesh, tau=tau)
         level_max[a:b] = np.max(np.abs(via_trace - via_formula), axis=1)
 
     _run_blocks(run, xs, ys)
     worst = float(np.max(level_max))
     passed = worst <= ns.tol
     return {
-        "map": m.name, "variant": ns.variant, "tau": tau,
+        "map": ns.map.name, "variant": ns.variant, "tau": tau,
         "points": xs.size * ys.size, "max_difference": worst, "tol": ns.tol, "pass": passed,
     }, 0 if passed else _FAIL_EXIT
 
 
 def _cmd_carleson(ns):
-    m = parse_map_spec(ns.map)
     scales = ns.scales
     if ns.density == "vmoa":
-        dens = carleson_mod.vmoa_density(m)
+        dens = carleson_mod.vmoa_density(ns.map)
     else:
-        tau = _horizon_for(ns, m)
-        dens = carleson_mod.mu_density(m, ns.variant, tau)
+        tau = _horizon_for(ns)
+        dens = carleson_mod.mu_density(ns.map, ns.variant, tau)
         if scales is None:
             # boxes deeper than the strip have no dilatation values
             scales = [s for s in carleson_mod.DEFAULT_SCALES if s <= tau]
@@ -569,17 +580,16 @@ def _cmd_carleson(ns):
 
 
 def _cmd_mu_tilde(ns):
-    m = parse_map_spec(ns.map)
-    t = ns.t if ns.t is not None else _horizon_for(ns, m, loewner_mod.VARIANT_SCHWARZIAN)
+    t = ns.t if ns.t is not None else _horizon_for(ns, loewner_mod.VARIANT_SCHWARZIAN)
     outer = None if ns.outer == "none" else (lambda z: np.zeros(np.shape(z), dtype=complex))
     # without an outer field the density ends at the strip edge, so the 2t box is left out
     scales = ns.scales or ([2 * t, t, t / 2] if outer else [t, t / 2])
     splits = carleson_mod.bigbox_decomposition(
-        m, t, ns.center_y, scales, outer=outer, rel_tol=ns.rel_tol
+        ns.map, t, ns.center_y, scales, outer=outer, rel_tol=ns.rel_tol
     )
     rows = [{"scale": s.length, "total": s.total, "inner": s.inner_term,
              "outer": s.outer_term, "defect": s.defect} for s in splits]
-    return {"map": m.name, "t": t, "center_y": ns.center_y,
+    return {"map": ns.map.name, "t": t, "center_y": ns.center_y,
             "outer": ns.outer, "boxes": rows}, 0
 
 
@@ -646,8 +656,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"chordalqc: {exc}\n")
         return _FAIL_EXIT
     except EvaluationError as exc:
-        spec = getattr(ns, "map", None)
-        where = f"--map {spec}: " if spec else ""
+        m = getattr(ns, "map", None)
+        where = f"--map {m.name}: " if m else ""
         sys.stderr.write(f"chordalqc: error: {where}{exc}\n")
         return _USAGE_EXIT
     except (QuadratureError, ValueError, OSError) as exc:

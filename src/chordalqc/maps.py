@@ -223,35 +223,21 @@ def _fmt(c: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 're' or 're+imi' (also 're-imi'); no expression grammar.
-    NaN and infinite parts are rejected."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty number")
-    if s[-1] in "iI":
-        body = s[:-1]
-        # split at the last +/- that is not a leading sign or an exponent sign
-        split = None
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split is None:
-            re_part, im_part = "0", body or "1"
-        else:
-            re_part, im_part = body[:split], body[split:]
-            if im_part in ("+", "-"):
-                im_part += "1"
-        z = complex(float(re_part), float(im_part))
-    else:
-        z = complex(float(s), 0.0)
+    """'re', 're+imi', 're-imi', 'imi', 'i' or '-i' (whitespace ignored), read by Python's
+    ``complex`` with 'j' for the final 'i' or 'I'; NaN and infinite parts are rejected."""
+    s = "".join(text.split())
+    try:
+        z = complex(s[:-1] + "j") if s[-1:] in ("i", "I") else complex(float(s))
+    except ValueError:
+        raise ValueError(f"invalid number {text!r}") from None
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite number {text!r}")
     return z
 
 
 def parse_map_spec(spec: str) -> ConformalMap:
-    """Build a catalog map from its spec string (see module docstring)."""
+    """Build a catalog map from its spec string (see module docstring); the one
+    composition grammar is ``compose:<outer>,<inner>``."""
     s = spec.strip()
     if s in _SIMPLE:
         return _SIMPLE[s]()
@@ -265,19 +251,22 @@ def parse_map_spec(spec: str) -> ConformalMap:
     if s.startswith("compose:"):
         body = s.split(":", 1)[1]
         # leftmost comma that splits into two parseable specs; parameter
-        # lists containing commas resolve because shorter prefixes fail
+        # lists containing commas resolve because shorter prefixes fail; the
+        # reason is the first inner error, else the first outer error
+        outer_error = inner_error = None
         for k in range(len(body)):
             if body[k] != ",":
                 continue
             try:
                 outer = parse_map_spec(body[:k])
-                inner = parse_map_spec(body[k + 1 :])
-            except ValueError:
+            except ValueError as exc:
+                outer_error = outer_error or exc
                 continue
-            return compose(outer, inner)
-        raise ValueError(f"cannot split compose spec {spec!r} into two maps")
-    if ",compose:" in s:
-        # postfix form "<inner>,compose:<outer>"
-        left, right = s.split(",compose:", 1)
-        return compose(parse_map_spec(right), parse_map_spec(left))
+            try:
+                return compose(outer, parse_map_spec(body[k + 1 :]))
+            except ValueError as exc:
+                inner_error = inner_error or exc
+        reason = inner_error or outer_error
+        raise ValueError(f"cannot split compose spec {spec!r} into two maps"
+                         + (f": {reason}" if reason else ""))
     raise ValueError(f"unknown map spec {spec!r}")

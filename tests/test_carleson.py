@@ -136,6 +136,14 @@ def test_scan_batches_density_calls():
     _assert_scan_matches_box_ratio(dens, rep)
 
 
+@pytest.mark.parametrize("empty", ["scales", "positions"])
+def test_scan_rejects_an_empty_box_list(empty):
+    # None means the defaults; an empty list must not fall back to them
+    d = Density("zero", "H", lambda z: np.zeros(np.shape(z)))
+    with pytest.raises(ValueError, match=rf"^{empty} is empty \(None means the defaults\)$"):
+        carleson_scan(d, **{empty: []})
+
+
 def test_scan_zero_density_vanishing():
     d = Density("zero", "H", lambda z: np.zeros(np.shape(z)))
     rep = carleson_scan(d, scales=[1.0, 0.5, 0.25], positions=[0.0])

@@ -12,6 +12,7 @@ import pytest
 import chordalqc
 from chordalqc import cli
 from chordalqc.cli import main
+from chordalqc.maps import parse_map_spec
 
 FAST_GRID = ["--points-per-decade", "8", "--y-count", "33", "--y-max", "10"]
 
@@ -121,6 +122,11 @@ def test_extend_values(tmp_path):
     assert len(lines) == 3
     r0 = [float(v) for v in lines[1].split(",")]
     assert r0 == [-0.05, 1.0, -0.05, 1.0]
+
+
+def test_extend_reads_a_bare_signed_unit(capsys):
+    assert run(["extend", "--map", "identity", "--z=-i;-0.5-i", "--tau", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0.0,-1.0,0.0,-1.0", "-0.5,-1.0,-0.5,-1.0"]
 
 
 def test_verify_mu_pass_and_exit_codes(tmp_path):
@@ -239,8 +245,23 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
                                        f"No such file or directory: '{missing}'\n")
 
 
+def test_map_type_calls_the_parser_bound_when_the_command_runs(monkeypatch):
+    # a tracer may rebind cli.parse_map_spec after import: --map must go through it
+    seen = []
+
+    def spy(spec):
+        seen.append(spec)
+        return parse_map_spec(spec)
+
+    monkeypatch.setattr(cli, "parse_map_spec", spy)
+    assert run(["eval", "--map", "identity", "--z", "1"]) == 0
+    assert seen == ["identity"]
+
+
 def test_usage_errors_exit_one(capsys):
-    assert run(["eval", "--map", "not-a-map", "--z", "1"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--map", "not-a-map", "--z", "1"])
+    assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--map", "identity"])  # missing --z
     assert exc.value.code == 1
@@ -277,7 +298,9 @@ def test_evaluation_error_exit_one(capsys):
 
 
 def test_nonfinite_point_exit_one(capsys):
-    assert run(["extend", "--map", "identity", "--z", "inf"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["extend", "--map", "identity", "--z", "inf"])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite number 'inf'" in captured.err
@@ -331,7 +354,7 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
     (["verify-mu", "--map", "identity", "--fd-step", "0", "--summary-only", "--nx", "3",
       "--ny", "3"], "fd_step must be finite and positive, got 0.0"),
     (["verify-mu", "--map", "identity", "--k", "1.5", "--tau", "0.1", "--summary-only",
-      "--nx", "3", "--ny", "3"], "k must lie in (0,1), got 1.5"),
+      "--nx", "3", "--ny", "3"], "argument --k: level outside (0,1) '1.5'"),
     (["pde-check", "--map", "identity", "--t-cap", "-1"],
      "--t-cap must be finite and nonnegative, got -1.0"),
     (["pde-check", "--map", "identity", "--t-cap", "nan"],
@@ -357,8 +380,9 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --rel-tol: negative tolerance '-1e-8'"),
     (["verify-mu", "--map", "identity", "--fd-tol", "inf"],
      "argument --fd-tol: non-finite number 'inf'"),
-    (["eval", "--map", "identity", "--z", ";"], "no points in ';'"),
-    (["extend", "--map", "identity", "--tau", "0.5", "--z", " ; "], "no points in ' ; '"),
+    (["eval", "--map", "identity", "--z", ";"], "argument --z: no points in ';'"),
+    (["extend", "--map", "identity", "--tau", "0.5", "--z", " ; "],
+     "argument --z: no points in ' ; '"),
     (["extend", "--map", "identity", "--z=-0.1+1i", "--tau", "-1"],
      "argument --tau: nonpositive horizon '-1'"),
     (["extend", "--map", "identity", "--z=-0.1+1i", "--tau", "0"],
@@ -373,6 +397,12 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --tau: nonpositive horizon '-1'"),
     (["mu-tilde", "--map", "identity", "--t", "-1"], "argument --t: nonpositive horizon '-1'"),
     (["mu-tilde", "--map", "identity", "--t", "0"], "argument --t: nonpositive horizon '0'"),
+    (["horizon", "--map", "identity", "--k", "1"], "argument --k: level outside (0,1) '1'"),
+    (["mu-tilde", "--map", "identity", "--k", "0"], "argument --k: level outside (0,1) '0'"),
+    (["eval", "--map", "nope", "--z", "1"], "argument --map: unknown map spec 'nope'"),
+    (["eval", "--map", "identity", "--z", "abc"], "argument --z: invalid number 'abc'"),
+    (["evolve", "--map", "identity", "--t", "0.1", "--z=1+2j"],
+     "argument --z: invalid number '1+2j'"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
@@ -380,7 +410,8 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
         "mu-tilde-rel-tol-negative", "verify-mu-fd-tol-inf", "eval-no-points",
         "extend-no-points", "extend-tau-negative", "extend-tau-0", "evolve-tau-negative",
         "verify-mu-tau-negative", "trace-check-tau-negative", "carleson-tau-negative",
-        "mu-tilde-t-negative", "mu-tilde-t-0"])
+        "mu-tilde-t-negative", "mu-tilde-t-0", "horizon-k-1", "mu-tilde-k-0", "eval-map-nope",
+        "eval-z-abc", "evolve-z-j-suffix"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

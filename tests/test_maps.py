@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -191,10 +192,17 @@ def test_parse_complex():
     assert parse_complex("1e-4") == 1e-4
     assert parse_complex("1.5e-3-2i") == 1.5e-3 - 2j
     assert parse_complex("2i") == 2j
-    with pytest.raises(ValueError):
-        parse_complex("")
-    with pytest.raises(ValueError):
-        parse_complex("abc")
+    # a bare unit, signed or not, and exponents in either part
+    for text, value in (("i", complex(0.0, 1.0)), ("-i", complex(0.0, -1.0)),
+                        ("+i", complex(0.0, 1.0)), ("1-i", complex(1.0, -1.0)),
+                        ("-2.5e-3+4i", complex(-2.5e-3, 4.0)), ("1E5I", complex(0.0, 1e5))):
+        z = parse_complex(text)
+        # bit for bit: a signed zero must keep its sign
+        assert [(p, math.copysign(1.0, p)) for p in (z.real, z.imag)] == \
+            [(p, math.copysign(1.0, p)) for p in (value.real, value.imag)]
+    for text in ("", "abc", "1+2j", "ii", "1+-2i", "(1+2i)"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid number {text!r}")):
+            parse_complex(text)
     for text in ("nan", "inf", "1+nani", "-inf-2i"):
         with pytest.raises(ValueError, match="non-finite"):
             parse_complex(text)
@@ -224,9 +232,11 @@ def test_parse_map_spec_round_trips():
     # commas inside parameter lists resolve via the leftmost valid split
     c2 = parse_map_spec("compose:cayley,moebius:1,-1,1,1")
     assert abs(c2.value(2.0) - 2.0) <= 1e-13  # cayley after (z-1)/(z+1) is the identity
-    # postfix composition spells the same map
-    c3 = parse_map_spec("phi,compose:half-strip-g")
-    assert abs(c3.value(2 + 1j) - f.value(2 + 1j)) <= 1e-13
+    # compose:<outer>,<inner> is the one composition grammar: no postfix form,
+    # and so no second reading of a compose spec's parts
+    for spec in ("phi,compose:half-strip-g", "compose:phi,half-strip-g,compose:identity"):
+        with pytest.raises(ValueError):
+            parse_map_spec(spec)
     # parametric names round-trip through the parser
     h2 = perturbed_identity(0.2 + 0.1j)
     assert parse_map_spec(h2.name).name == h2.name
@@ -236,6 +246,20 @@ def test_parse_map_spec_round_trips():
         parse_map_spec("moebius:1,2,3")
     with pytest.raises(ValueError):
         parse_map_spec("compose:identity")
+
+
+@pytest.mark.parametrize("spec, reason", [
+    # the inner error at the first comma whose outer part parsed
+    ("compose:phi,perturbed-identity:2", ": perturbed-identity needs |c| < 1, got |c| = 2.0"),
+    # no outer part parsed: the outer error at the first comma
+    ("compose:nope,identity", ": unknown map spec 'nope'"),
+    # no comma: no split, so no reason
+    ("compose:identity", ""),
+])
+def test_compose_spec_error_names_the_failing_part(spec, reason):
+    with pytest.raises(ValueError) as exc:
+        parse_map_spec(spec)
+    assert str(exc.value) == f"cannot split compose spec {spec!r} into two maps{reason}"
 
 
 def test_moebius_schwarzian_annihilation():
