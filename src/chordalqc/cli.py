@@ -8,9 +8,12 @@ horizon at the requested level), 1 usage or evaluation error.
 
 Map specs follow the mini-grammar of :mod:`chordalqc.maps` (``name[:params]``,
 ``compose:<outer>,<inner>``); numbers are ``re``, ``re+imi``, ``imi``, ``i`` or
-``-i``.  Argparse types convert every flag, so handlers get maps and points and
-a bad value is a usage error naming its flag.  A JSON file passed through
-``--config`` supplies defaults for any flag not given explicitly; flags win.
+``-i``.  Each flag is declared once, and its argparse type converts and checks
+it where it enters: maps and points are parsed, and every number flag gets a
+value class from :func:`_checked` (count, integer, positive, nonnegative,
+tolerance, horizon, level).  A bad value is a usage error naming its flag, and
+no handler checks a flag value.  A JSON file passed through ``--config``
+supplies defaults for any flag not given explicitly; flags win.
 """
 
 from __future__ import annotations
@@ -187,43 +190,31 @@ def _arg_type(parse):
     return convert
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite number '{value}'")
-    return value
+def _checked(convert, ok=None, complaint=""):
+    """An argparse ``type``: the text read by ``convert`` (``float`` or ``int``), finite,
+    and kept by ``ok`` when given, else a usage error naming the flag: argparse's
+    ``invalid <convert> value``, ``non-finite number`` or ``<complaint> '<text>'``."""
+    def check(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if convert is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"non-finite number '{value}'")
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"{complaint} {text!r}")
+        return value
+    return check
 
 
-def _number(text: str) -> float:
-    """A finite float: the argparse ``type`` of every number flag."""
-    try:
-        return _finite(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-
-
-def _tolerance(text: str) -> float:
-    """A finite, nonnegative float: the argparse ``type`` of every tolerance flag."""
-    value = _number(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"negative tolerance {text!r}")
-    return value
-
-
-def _horizon(text: str) -> float:
-    """A finite, positive float: the argparse ``type`` of every horizon override
-    (``--tau``, and ``mu-tilde --t``)."""
-    value = _number(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"nonpositive horizon {text!r}")
-    return value
-
-
-def _level(text: str) -> float:
-    """A finite float in (0, 1): the argparse ``type`` of every ``--k``."""
-    value = _number(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"level outside (0,1) {text!r}")
-    return value
+_number = _checked(float)
+_positive = _checked(float, lambda v: v > 0, "nonpositive number")
+_nonnegative = _checked(float, lambda v: v >= 0, "negative number")
+_tolerance = _checked(float, lambda v: v >= 0, "negative tolerance")
+_horizon = _checked(float, lambda v: v > 0, "nonpositive horizon")  # --tau, and mu-tilde --t
+_level = _checked(float, lambda v: 0 < v < 1, "level outside (0,1)")  # every --k
+_count = _checked(int, lambda v: v >= 1, "count below 1")
+_natural = _checked(int, lambda v: v >= 0, "negative integer")
 
 
 def _number_list(text: str) -> list:
@@ -234,7 +225,10 @@ def _number_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
-    return [_finite(v) for v in values]
+    for v in values:
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"non-finite number '{v}'")
+    return values
 
 
 def _grid_from(ns) -> StripGrid:
@@ -246,28 +240,16 @@ def _grid_from(ns) -> StripGrid:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, fmt_choices=("csv", "json"), fmt_default="csv"):
-    """--out and --config, and --format unless ``fmt_choices`` is empty (JSON only)."""
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    if fmt_choices:
-        p.add_argument("--format", choices=fmt_choices, default=fmt_default, help="report format")
-    p.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
-
-
-def _add_grid(p: argparse.ArgumentParser):
-    p.add_argument("--x-min", type=_number, default=1e-4, help="smallest Re level of the strip grid")
-    p.add_argument("--points-per-decade", type=int, default=64, help="log-spaced Re levels per decade")
-    p.add_argument("--y-max", type=_number, default=20.0, help="Im range half-width")
-    p.add_argument("--y-count", type=int, default=257, help="number of Im samples")
-
-
-def _add_variant(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--variant",
-        choices=loewner_mod.VARIANTS,
-        default=loewner_mod.VARIANT_SCHWARZIAN,
-        help="chain variant",
-    )
+_GRID_FLAGS = {
+    "--x-min": dict(type=_positive, default=1e-4, help="smallest Re level of the strip grid"),
+    "--points-per-decade": dict(type=_natural, default=64, help="log-spaced Re levels per decade"),
+    "--y-max": dict(type=_nonnegative, default=20.0, help="Im range half-width"),
+    "--y-count": dict(type=_count, default=257, help="number of Im samples"),
+}
+_LEVEL_COUNTS = {
+    "--nx": dict(type=_count, default=None, help="override Re level count"),
+    "--ny": dict(type=_count, default=None, help="override Im sample count"),
+}
 
 
 def build_parser(required: bool = True) -> _Parser:
@@ -278,119 +260,89 @@ def build_parser(required: bool = True) -> _Parser:
     # built per parser, so a parse_map_spec rebound after import is the one called
     map_type, point_type, points_type = map(_arg_type, (parse_map_spec, parse_complex, _complex_list))
 
-    def add(name, **kwargs):  # each subcommand's help lists its defaults
-        return sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+    def command(name, help, flags=None, *, variant=False, k=False, tau=False, mapped=True,
+                grid=True, formats=("csv", "json"), fmt="csv", **kwargs):
+        """Subcommand ``name`` with, in order: --map if ``mapped``; --variant, --k (``k``
+        is its help text, True for the shared one) and --tau where asked; its own ``flags``
+        (option string -> add_argument keywords); the grid flags if ``grid``; --out,
+        --format (``formats``, default ``fmt``; none when empty: JSON only), --config.
+        Each subcommand's help lists its defaults."""
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           **kwargs)
+        if mapped:
+            p.add_argument("--map", type=map_type, required=required, help="map spec")
+        if variant:
+            p.add_argument("--variant", choices=loewner_mod.VARIANTS,
+                           default=loewner_mod.VARIANT_SCHWARZIAN, help="chain variant")
+        if k:
+            p.add_argument("--k", type=_level, default=0.5,
+                           help=k if isinstance(k, str) else "disk level in (0,1)")
+        if tau:
+            p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
+        for flag, spec in {**(flags or {}), **(_GRID_FLAGS if grid else {})}.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if formats:
+            p.add_argument("--format", choices=formats, default=fmt, help="report format")
+        p.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
 
-    p = add("maps-list", help="list catalog map specs")
-    _add_common(p, fmt_choices=("text", "json"), fmt_default="text")
-
-    p = add("eval", help="order-3 jet of a map at points")
-    p.add_argument("--map", type=map_type, required=required, help="map spec")
-    p.add_argument("--z", type=points_type, required=required, help="semicolon-separated points, re+imi")
-    _add_common(p)
-
-    p = add("norms", help="beta/sigma strip-norm profile")
-    p.add_argument("--map", type=map_type, required=required)
-    p.add_argument("--t", type=_number_list, required=required,
-                   help="comma-separated decreasing t values")
-    _add_grid(p)
-    _add_common(p)
-
-    p = add("horizon", help="largest grid-certified horizon at level k")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--t-max", type=_number, default=1.0, help="scan range maximum")
-    _add_grid(p)
-    _add_common(p, fmt_default="json")
-
-    p = add("evolve", help="RK4 trace of the evolution flow")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--s", type=_number, default=0.0, help="start time")
-    p.add_argument("--t", type=_number, required=required, help="end time")
-    p.add_argument("--z", type=point_type, required=required, help="start point, re+imi")
-    p.add_argument("--step", type=_number, default=1e-3, help="RK4 step")
-    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
-    _add_grid(p)
-    _add_common(p)
-
-    p = add("pde-check", help="closed-form Loewner PDE residuals at random samples")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--samples", type=int, default=10000, help="number of random (z, t) samples")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--tol", type=_tolerance, default=1e-10, help="residual tolerance")
-    p.add_argument("--t-cap", type=_number, default=0.05, help="largest sampled time")
-    p.add_argument("--k", type=_level, default=0.5)
-    _add_grid(p)
-    _add_common(p, fmt_choices=())
-
-    p = add("extend", help="extension values over the imaginary axis")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--z", type=points_type, required=required, help="semicolon-separated points")
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
-    _add_grid(p)
-    _add_common(p)
-
-    p = add("verify-mu", help="dilatation identity and bound over the strip")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--fd-step", type=_number, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step")
-    p.add_argument("--fd-tol", type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance")
-    p.add_argument("--nx", type=int, default=None, help="override Re level count")
-    p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
-    p.add_argument("--summary-only", action="store_true", help="omit per-sample rows")
-    _add_grid(p)
-    _add_common(p, fmt_choices=())
-
-    p = add("trace-check", help="chain-trace vs closed-form extension equality",
-            description="Compare the chain member h_t at t = -Re z, evaluated at "
-            "i Im z, with the closed-form extension at z.  Both code one identity "
-            "and use the same jet, so this guards the algebra of the two formulas; "
-            "it is not independent numerical evidence for the extension.")
-    p.add_argument("--map", type=map_type, required=required)
-    _add_variant(p)
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--tol", type=_tolerance, default=1e-12, help="equality tolerance")
-    p.add_argument("--nx", type=int, default=None, help="override Re level count")
-    p.add_argument("--ny", type=int, default=None, help="override Im sample count")
-    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
-    _add_grid(p)
-    _add_common(p, fmt_choices=())
-
-    p = add("carleson", help="Carleson box-ratio scan of a density")
-    p.add_argument("--map", type=map_type, required=required)
-    p.add_argument("--density", choices=("vmoa", "mu"), default="vmoa")
-    _add_variant(p)
-    p.add_argument("--k", type=_level, default=0.5, help="level for the mu-density horizon")
-    p.add_argument("--tau", type=_horizon, default=None, help="horizon override (skips the scan)")
-    p.add_argument("--scales", type=_number_list, default=None,
-                   help="comma-separated |I| values (default dyadic 1..2^-10)")
-    p.add_argument("--positions", type=_number_list, default=None, help="comma-separated center_y values")
-    p.add_argument("--rel-tol", type=_tolerance, default=1e-6, help="quadrature relative tolerance")
-    p.add_argument("--threshold", type=_number, default=carleson_mod.DEFAULT_VANISH_THRESHOLD, help="vanishing verdict threshold (fraction of the norm estimate)")
-    _add_grid(p)
-    _add_common(p)
-
-    p = add("mu-tilde", help="composite dilatation box decomposition")
-    p.add_argument("--map", type=map_type, required=required)
-    p.add_argument("--t", type=_horizon, default=None, help="strip width (default: horizon at --k)")
-    p.add_argument("--k", type=_level, default=0.5, help="disk level in (0,1)")
-    p.add_argument("--outer", choices=("none", "zero"), default="zero",
-                   help="outer dilatation beyond the strip")
-    p.add_argument("--scales", type=_number_list, default=None,
-                   help="comma-separated |I| values (default 2t,t,t/2; t,t/2 with --outer none)")
-    p.add_argument("--center-y", type=_number, default=0.0, help="box center on the imaginary axis")
-    p.add_argument("--rel-tol", type=_tolerance, default=1e-8, help="quadrature relative tolerance")
-    _add_grid(p)
-    _add_common(p, fmt_choices=())
-
+    command("maps-list", "list catalog map specs", mapped=False, grid=False,
+            formats=("text", "json"), fmt="text")
+    command("eval", "order-3 jet of a map at points", {
+        "--z": dict(type=points_type, required=required, help="semicolon-separated points, re+imi"),
+    }, grid=False)
+    command("norms", "beta/sigma strip-norm profile", {
+        "--t": dict(type=_number_list, required=required, help="comma-separated decreasing t values"),
+    })
+    command("horizon", "largest grid-certified horizon at level k", {
+        "--t-max": dict(type=_positive, default=1.0, help="scan range maximum"),
+    }, variant=True, k=True, fmt="json")
+    command("evolve", "RK4 trace of the evolution flow", {
+        "--s": dict(type=_nonnegative, default=0.0, help="start time"),
+        "--t": dict(type=_nonnegative, required=required, help="end time"),
+        "--z": dict(type=point_type, required=required, help="start point, re+imi"),
+        "--step": dict(type=_positive, default=1e-3, help="RK4 step"),
+    }, variant=True, k=True, tau=True)
+    command("pde-check", "closed-form Loewner PDE residuals at random samples", {
+        "--samples": dict(type=_count, default=10000, help="number of random (z, t) samples"),
+        "--seed": dict(type=_natural, default=0, help="RNG seed"),
+        "--tol": dict(type=_tolerance, default=1e-10, help="residual tolerance"),
+        "--t-cap": dict(type=_nonnegative, default=0.05, help="largest sampled time"),
+    }, variant=True, k=True, formats=())
+    command("extend", "extension values over the imaginary axis", {
+        "--z": dict(type=points_type, required=required, help="semicolon-separated points"),
+    }, variant=True, k=True, tau=True)
+    command("verify-mu", "dilatation identity and bound over the strip", {
+        "--fd-step": dict(type=_positive, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step"),
+        "--fd-tol": dict(type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance"),
+        **_LEVEL_COUNTS,
+        "--summary-only": dict(action="store_true", help="omit per-sample rows"),
+    }, variant=True, k=True, tau=True, formats=())
+    command("trace-check", "chain-trace vs closed-form extension equality", {
+        "--tol": dict(type=_tolerance, default=1e-12, help="equality tolerance"),
+        **_LEVEL_COUNTS,
+    }, variant=True, k=True, tau=True, formats=(),
+        description="Compare the chain member h_t at t = -Re z, evaluated at "
+        "i Im z, with the closed-form extension at z.  Both code one identity "
+        "and use the same jet, so this guards the algebra of the two formulas; "
+        "it is not independent numerical evidence for the extension.")
+    command("carleson", "Carleson box-ratio scan of a density", {
+        "--density": dict(choices=("vmoa", "mu"), default="vmoa"),
+        "--scales": dict(type=_number_list, default=None,
+                         help="comma-separated |I| values (default dyadic 1..2^-10)"),
+        "--positions": dict(type=_number_list, default=None, help="comma-separated center_y values"),
+        "--rel-tol": dict(type=_tolerance, default=1e-6, help="quadrature relative tolerance"),
+        "--threshold": dict(type=_number, default=carleson_mod.DEFAULT_VANISH_THRESHOLD,
+                            help="vanishing verdict threshold (fraction of the norm estimate)"),
+    }, variant=True, k="level for the mu-density horizon", tau=True)
+    command("mu-tilde", "composite dilatation box decomposition", {
+        "--t": dict(type=_horizon, default=None, help="strip width (default: horizon at --k)"),
+        "--outer": dict(choices=("none", "zero"), default="zero", help="outer dilatation beyond the strip"),
+        "--scales": dict(type=_number_list, default=None,
+                         help="comma-separated |I| values (default 2t,t,t/2; t,t/2 with --outer none)"),
+        "--center-y": dict(type=_number, default=0.0, help="box center on the imaginary axis"),
+        "--rel-tol": dict(type=_tolerance, default=1e-8, help="quadrature relative tolerance"),
+    }, k=True, formats=())
     return top
 
 
@@ -498,10 +450,6 @@ def _cmd_evolve(ns):
 
 
 def _cmd_pde_check(ns):
-    if ns.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {ns.samples}")
-    if ns.t_cap < 0:
-        raise ValueError(f"--t-cap must be finite and nonnegative, got {ns.t_cap}")
     t_hi = min(ns.t_cap, _horizon_for(ns))
     rng = np.random.default_rng(ns.seed)
     n = ns.samples

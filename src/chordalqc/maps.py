@@ -39,6 +39,8 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
 from .jets import Jet, jexp, jlog, jrecip, jsqrt, lift_variable, require_finite
 from .jets import _any, _first_center
@@ -151,7 +153,19 @@ def half_strip_g() -> ConformalMap:
 
     def _formula(w):
         r = jrecip(w)
-        return jlog(jsqrt(1 + r * r) + r)
+        g = jlog(jsqrt(1 + r * r) + r)
+        if isinstance(w, Jet):
+            return g
+        # on i(-1,1) the principal root of the negative real 1 + 1/z^2 is the limit
+        # from the left half-plane; the equal log((1 + sqrt(1 + z^2))/z) is the limit from H
+        axis = (w.real == 0) & (abs(w.imag) < 1)
+        if not _any(axis):
+            return g
+        if np.ndim(w) == 0:
+            return jlog((1 + jsqrt(1 + w * w)) / w)
+        v = w[axis]
+        g[axis] = jlog((1 + jsqrt(1 + v * v)) / v)
+        return g
 
     return ConformalMap("half-strip-g", DOMAIN_H, _formula)
 

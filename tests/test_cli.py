@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import json
 import math
@@ -278,6 +279,129 @@ def test_json_only_commands_reject_format(capsys, command):
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
+# every subcommand's options with (default, choices, required): a flag that the
+# subcommand builder drops, adds or changes fails the flag-table test
+FLAG_TABLE = {
+    "maps-list": {
+        "--config": (None, None, False), "--format": ("text", ("text", "json"), False),
+        "--out": (None, None, False),
+    },
+    "eval": {
+        "--config": (None, None, False), "--format": ("csv", ("csv", "json"), False),
+        "--map": (None, None, True), "--out": (None, None, False), "--z": (None, None, True),
+    },
+    "norms": {
+        "--config": (None, None, False), "--format": ("csv", ("csv", "json"), False),
+        "--map": (None, None, True), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--t": (None, None, True),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "horizon": {
+        "--config": (None, None, False), "--format": ("json", ("csv", "json"), False),
+        "--k": (0.5, None, False), "--map": (None, None, True), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--t-max": (1.0, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "evolve": {
+        "--config": (None, None, False), "--format": ("csv", ("csv", "json"), False),
+        "--k": (0.5, None, False), "--map": (None, None, True), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--s": (0.0, None, False),
+        "--step": (0.001, None, False), "--t": (None, None, True), "--tau": (None, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False), "--z": (None, None, True),
+    },
+    "pde-check": {
+        "--config": (None, None, False), "--k": (0.5, None, False), "--map": (None, None, True),
+        "--out": (None, None, False), "--points-per-decade": (64, None, False),
+        "--samples": (10000, None, False), "--seed": (0, None, False),
+        "--t-cap": (0.05, None, False), "--tol": (1e-10, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "extend": {
+        "--config": (None, None, False), "--format": ("csv", ("csv", "json"), False),
+        "--k": (0.5, None, False), "--map": (None, None, True), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--tau": (None, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False), "--z": (None, None, True),
+    },
+    "verify-mu": {
+        "--config": (None, None, False), "--fd-step": (1e-05, None, False),
+        "--fd-tol": (1e-06, None, False), "--k": (0.5, None, False), "--map": (None, None, True),
+        "--nx": (None, None, False), "--ny": (None, None, False), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--summary-only": (False, None, False),
+        "--tau": (None, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "trace-check": {
+        "--config": (None, None, False), "--k": (0.5, None, False), "--map": (None, None, True),
+        "--nx": (None, None, False), "--ny": (None, None, False), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--tau": (None, None, False),
+        "--tol": (1e-12, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "carleson": {
+        "--config": (None, None, False), "--density": ("vmoa", ("vmoa", "mu"), False),
+        "--format": ("csv", ("csv", "json"), False), "--k": (0.5, None, False),
+        "--map": (None, None, True), "--out": (None, None, False),
+        "--points-per-decade": (64, None, False), "--positions": (None, None, False),
+        "--rel-tol": (1e-06, None, False), "--scales": (None, None, False),
+        "--tau": (None, None, False), "--threshold": (0.05, None, False),
+        "--variant": ("schwarzian", ("schwarzian", "pre-schwarzian"), False),
+        "--x-min": (0.0001, None, False), "--y-count": (257, None, False),
+        "--y-max": (20.0, None, False),
+    },
+    "mu-tilde": {
+        "--center-y": (0.0, None, False), "--config": (None, None, False),
+        "--k": (0.5, None, False), "--map": (None, None, True), "--out": (None, None, False),
+        "--outer": ("zero", ("none", "zero"), False), "--points-per-decade": (64, None, False),
+        "--rel-tol": (1e-08, None, False), "--scales": (None, None, False),
+        "--t": (None, None, False), "--x-min": (0.0001, None, False),
+        "--y-count": (257, None, False), "--y-max": (20.0, None, False),
+    },
+}
+
+
+def test_each_subcommand_keeps_its_flags_defaults_and_choices():
+    top = cli.build_parser()
+    subcommands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, p in subcommands.choices.items():
+        actions = [a for a in p._actions if a.dest != "help"]
+        assert all(len(a.option_strings) == 1 for a in actions)  # one spelling each
+        table[name] = {a.option_strings[0]: (a.default, tuple(a.choices) if a.choices else None,
+                                             a.required) for a in actions}
+    assert table == FLAG_TABLE
+
+
+def test_config_value_is_checked_by_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    err = failed_run(capsys, ["pde-check", "--map", "identity", "--config", str(cfg)])
+    assert err == failed_run(capsys, ["pde-check", "--map", "identity", "--samples", "0"])
+    assert err.startswith("usage: ")
+    assert err.endswith("chordalqc pde-check: error: argument --samples: count below 1 '0'\n")
+
+
+def test_evolve_past_the_horizon_is_a_computed_failure(capsys):
+    # a negative time is a usage error (see test_bad_parameter_exit_one_naming_it);
+    # t beyond the horizon tau0 is the flow's failure, exit 2
+    assert run(["evolve", "--map", "identity", "--t", "0.6", "--z", "1+1i", "--tau", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chordalqc: need 0 <= s <= t <= tau0=0.5, got s=0.0, t=0.6\n"
+
+
 def test_help_lists_module_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify-mu", "--help"])
@@ -316,11 +440,15 @@ def test_nonfinite_point_exit_one(capsys):
     ("--points-per-decade", "-1", "points_per_decade"),
 ])
 def test_bad_grid_exit_one_naming_field(capsys, flag, value, field):
+    # the flag's type rejects each value before a grid exists: the usage error names
+    # the flag, where the grid's own check would name the field
     err = failed_run(capsys, ["horizon", "--map", "counterexample-f", flag, value])
-    if math.isfinite(float(value)):
-        assert err.startswith(f"chordalqc: error: grid {field} must be")
-    else:  # the flag's type rejects it before a grid exists
-        assert err.endswith(f"chordalqc horizon: error: argument {flag}: non-finite number {value!r}\n")
+    complaint = {"--y-count": "count below 1", "--x-min": "nonpositive number",
+                 "--y-max": "negative number", "--points-per-decade": "negative integer"}[flag]
+    if not math.isfinite(float(value)):
+        complaint = "non-finite number"
+    assert err.startswith("usage: ") and field not in err
+    assert err.endswith(f"chordalqc horizon: error: argument {flag}: {complaint} {value!r}\n")
 
 
 def test_domain_error_names_map_and_point(capsys):
@@ -338,25 +466,23 @@ def test_evaluation_error_names_map_and_point(capsys):
 
 
 @pytest.mark.parametrize("args, name", [
-    (["verify-mu", "--map", "square", "--tau", "0.3", "--nx", "0", "--summary-only"], "nx"),
-    (["verify-mu", "--map", "square", "--tau", "0.3", "--ny", "0", "--summary-only"], "ny"),
-    (["trace-check", "--map", "square", "--tau", "0.3", "--nx", "0"], "nx"),
+    (["verify-mu", "--map", "square", "--tau", "0.3", "--nx", "0", "--summary-only"], "--nx"),
+    (["verify-mu", "--map", "square", "--tau", "0.3", "--ny", "0", "--summary-only"], "--ny"),
+    (["trace-check", "--map", "square", "--tau", "0.3", "--nx", "0"], "--nx"),
     (["pde-check", "--map", "identity", "--samples", "0"], "--samples"),
 ], ids=["verify-mu-nx", "verify-mu-ny", "trace-check-nx", "pde-check-samples"])
 def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
-    assert run(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chordalqc: error: {name} must be at least 1, got 0\n"
+    err = failed_run(capsys, args)
+    assert err.startswith("usage: ")
+    assert err.endswith(f"chordalqc {args[0]}: error: argument {name}: count below 1 '0'\n")
 
 
 @pytest.mark.parametrize("args, message", [
     (["verify-mu", "--map", "identity", "--fd-step", "0", "--summary-only", "--nx", "3",
-      "--ny", "3"], "fd_step must be finite and positive, got 0.0"),
+      "--ny", "3"], "argument --fd-step: nonpositive number '0'"),
     (["verify-mu", "--map", "identity", "--k", "1.5", "--tau", "0.1", "--summary-only",
       "--nx", "3", "--ny", "3"], "argument --k: level outside (0,1) '1.5'"),
-    (["pde-check", "--map", "identity", "--t-cap", "-1"],
-     "--t-cap must be finite and nonnegative, got -1.0"),
+    (["pde-check", "--map", "identity", "--t-cap", "-1"], "argument --t-cap: negative number '-1'"),
     (["pde-check", "--map", "identity", "--t-cap", "nan"],
      "argument --t-cap: non-finite number 'nan'"),
     (["carleson", "--map", "counterexample-f", "--density", "mu", "--tau", "1e-6"],
@@ -403,6 +529,23 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
     (["eval", "--map", "identity", "--z", "abc"], "argument --z: invalid number 'abc'"),
     (["evolve", "--map", "identity", "--t", "0.1", "--z=1+2j"],
      "argument --z: invalid number '1+2j'"),
+    (["pde-check", "--map", "identity", "--samples", "0"], "argument --samples: count below 1 '0'"),
+    (["pde-check", "--map", "identity", "--samples", "1.5"],
+     "argument --samples: invalid int value: '1.5'"),
+    (["pde-check", "--map", "identity", "--seed", "-1"], "argument --seed: negative integer '-1'"),
+    (["norms", "--map", "identity", "--t", "1", "--points-per-decade", "-1"],
+     "argument --points-per-decade: negative integer '-1'"),
+    (["trace-check", "--map", "identity", "--y-count", "0"], "argument --y-count: count below 1 '0'"),
+    (["extend", "--map", "identity", "--z", "1", "--x-min", "0"],
+     "argument --x-min: nonpositive number '0'"),
+    (["carleson", "--map", "identity", "--y-max", "-1"], "argument --y-max: negative number '-1'"),
+    (["evolve", "--map", "identity", "--t", "0.1", "--z", "1", "--step", "0"],
+     "argument --step: nonpositive number '0'"),
+    (["horizon", "--map", "identity", "--t-max", "0"], "argument --t-max: nonpositive number '0'"),
+    (["evolve", "--map", "identity", "--s", "-1", "--t", "0.01", "--z", "1+1i", "--tau", "0.5"],
+     "argument --s: negative number '-1'"),
+    (["evolve", "--map", "identity", "--t=-0.01", "--z", "1+1i", "--tau", "0.5"],
+     "argument --t: negative number '-0.01'"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
@@ -411,7 +554,10 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
         "extend-no-points", "extend-tau-negative", "extend-tau-0", "evolve-tau-negative",
         "verify-mu-tau-negative", "trace-check-tau-negative", "carleson-tau-negative",
         "mu-tilde-t-negative", "mu-tilde-t-0", "horizon-k-1", "mu-tilde-k-0", "eval-map-nope",
-        "eval-z-abc", "evolve-z-j-suffix"])
+        "eval-z-abc", "evolve-z-j-suffix", "pde-check-samples-0", "pde-check-samples-float",
+        "pde-check-seed-negative", "norms-points-per-decade-negative", "trace-check-y-count-0",
+        "extend-x-min-0", "carleson-y-max-negative", "evolve-step-0", "horizon-t-max-0",
+        "evolve-s-negative", "evolve-t-negative"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

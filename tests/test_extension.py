@@ -232,6 +232,20 @@ def test_boundary_continuity():
         assert gaps[-1] <= 1e-4
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("spec", ["half-strip-g", "compose:half-strip-g,moebius:2,0,0,1"])
+def test_extend_on_axis_matches_its_neighbours(spec, variant):
+    # E is continuous across the axis: on half-strip-g's segment i(-1,1) the map's value
+    # at Re z = 0, the limit from H, agrees with E at Re z = +-1e-12
+    h = parse_map_spec(spec)
+    for y in (-0.45, -0.3, -1e-3, 1e-3, 0.25, 0.45):  # away from g's branch points +-i
+        for re in (0.0, -0.0):
+            on_axis = extend(h, variant, complex(re, y), tau=0.1)
+            for side in (1e-12, -1e-12):
+                near = extend(h, variant, complex(side, y), tau=0.1)
+                assert abs(on_axis - near) <= 1e-6 * abs(near), (re, y, side)
+
+
 # -- grid report ----------------------------------------------------------------------
 
 

@@ -134,6 +134,50 @@ def test_half_strip_image_and_continuity():
         assert np.max(np.abs(np.diff(vals))) < 0.5
 
 
+# catalog specs on H, and one whose inner map puts half-strip-g's boundary segment i(-1,1)
+# at i(-1/2,1/2); cayley's domain is the disk, whose boundary is not the imaginary axis
+AXIS_SPECS = ["identity", "phi", "half-strip-g", "counterexample-f", "square",
+              "perturbed-identity:0.3", "moebius:1,0,1,1", "compose:phi,half-strip-g",
+              "compose:half-strip-g,moebius:2,0,0,1"]
+
+
+@pytest.mark.parametrize("spec", AXIS_SPECS)
+def test_boundary_values_are_limits_from_h(spec):
+    # 400 |y| in [1e-3, 1e3] at both signs of y and of the zero real part
+    h = parse_map_spec(spec)
+    for y in np.geomspace(1e-3, 1e3, 400):
+        for sy in (y, -y):
+            limit = h.value(complex(1e-12, sy))
+            for re in (0.0, -0.0):
+                assert abs(h.value(complex(re, sy)) - limit) <= 1e-6 * abs(limit), (re, sy)
+
+
+def test_half_strip_axis_values_match_arccosh():
+    # g(+-iy) = arccosh(1/y) -+ i pi/2 for 0 < y < 1, at both signs of the zero real
+    # part, on arrays, Python scalars and mpmath points
+    g = half_strip_g()
+    ys = np.geomspace(1e-3, 0.999, 50)
+    for sign in (1, -1):
+        want = np.array([complex(mpmath.acosh(1 / mpmath.mpf(y)), -sign * math.pi / 2) for y in ys])
+        for re in (0.0, -0.0):
+            z = np.array([complex(re, sign * y) for y in ys])
+            assert np.max(np.abs(g.value(z) - want) / np.abs(want)) <= 1e-14
+            assert all(abs(g.value(complex(p)) - w) <= 1e-14 * abs(w) for p, w in zip(z, want))
+        got = [complex(g.value(mpmath.mpc(0, sign * y))) for y in ys]
+        assert np.max(np.abs(np.array(got) - want) / np.abs(want)) <= 1e-14
+    assert g.value(0.5j) == complex(1.3169578969248166, -math.pi / 2)
+    assert abs(g.value(1e-3j).real - 7.6009022095419) <= 1e-12
+
+
+def test_half_strip_axis_fix_leaves_interior_values_and_mixed_arrays():
+    g = half_strip_g()
+    interior = np.array([0.3 + 0.5j, 1e-9 + 0.2j, 2.0 - 0.7j])
+    mixed = np.array([0.3 + 0.5j, 0.5j, 1e-9 + 0.2j, -0.2j, 2.0 - 0.7j, 3j])
+    got = g.value(mixed)
+    assert np.array_equal(got[[0, 2, 4]], g.value(interior))
+    assert np.array_equal(got[[1, 3, 5]], g.value(np.array([0.5j, -0.2j, 3j])))
+
+
 # -- perturbed identity ---------------------------------------------------
 
 
