@@ -12,7 +12,9 @@ Map specs follow the mini-grammar of :mod:`chordalqc.maps` (``name[:params]``,
 it where it enters: maps and points are parsed, and every number flag gets a
 value class from :func:`_checked` (count, integer, positive, nonnegative,
 tolerance, horizon, level).  A bad value is a usage error naming its flag, and
-no handler checks a flag value.  A JSON file passed through ``--config``
+no handler checks a flag value; the two checks that span flags (``horizon
+--t-max`` and ``norms --t`` against ``--x-min``) run in the subcommand's
+parser once every flag is read.  A JSON file passed through ``--config``
 supplies defaults for any flag not given explicitly; flags win.
 """
 
@@ -42,6 +44,16 @@ _FAIL_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    # a check that spans flags, run once all are parsed: namespace -> usage error text or None
+    check = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        message = self.check and self.check(ns)
+        if message:
+            self.error(message)
+        return ns, extras
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -121,14 +133,17 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_floats(col) -> list:
     """A float64 column spelled as json.dumps spells each float.
 
-    ``repr`` runs once per distinct bit pattern, not per distinct value:
-    0.0 and -0.0 compare equal but are spelled apart."""
-    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    ``repr`` runs once per distinct magnitude, taken by bit pattern: a negative
+    entry is "-" and its magnitude's text, so x and -x cost one call, and -0.0
+    and -inf are spelled "-0.0" and "-Infinity".  NaN takes no sign."""
+    bits, index = np.unique(np.abs(col).view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
     text = list(map(repr, values.tolist()))
     if not np.isfinite(values).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
-    return np.array(text, dtype=object)[index].tolist()
+    negative = np.signbit(col) & ~np.isnan(col)
+    table = np.array(text + ["-" + t for t in text], dtype=object)
+    return table[index + len(text) * negative].tolist()
 
 
 def _json_samples(columns, start: int, stop: int) -> str:
@@ -252,23 +267,43 @@ _LEVEL_COUNTS = {
 }
 
 
-def build_parser(required: bool = True) -> _Parser:
-    """The CLI parser; ``required=False`` leaves out the required-flag check,
-    for the parse that looks for ``--config`` (the file may supply them)."""
+def _t_max_check(ns):
+    """``horizon``'s scan range must reach the grid's first level."""
+    if ns.t_max < ns.x_min:
+        return f"argument --t-max: {ns.t_max} below --x-min {ns.x_min}"
+
+
+def _t_check(ns):
+    """``norms``' smallest t must reach the grid's first level; a list that is not
+    positive and strictly decreasing is left to the library, which names that first."""
+    ts = ns.t
+    if 0 < ts[-1] < ns.x_min and ts == sorted(set(ts), reverse=True):
+        return f"argument --t: smallest t {ts[-1]} below --x-min {ns.x_min}"
+
+
+def build_parser(required: bool = True, only: str | None = None) -> _Parser:
+    """The CLI parser; ``required=False`` leaves out the checks of required flags
+    and of flags against each other, for the parse that looks for ``--config``
+    (the file may supply values).  With ``only`` a subcommand name, the other
+    subcommands are listed without their flags, which they need only when invoked."""
     top = _Parser(prog="chordalqc", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
     # built per parser, so a parse_map_spec rebound after import is the one called
     map_type, point_type, points_type = map(_arg_type, (parse_map_spec, parse_complex, _complex_list))
 
     def command(name, help, flags=None, *, variant=False, k=False, tau=False, mapped=True,
-                grid=True, formats=("csv", "json"), fmt="csv", **kwargs):
+                grid=True, formats=("csv", "json"), fmt="csv", check=None, **kwargs):
         """Subcommand ``name`` with, in order: --map if ``mapped``; --variant, --k (``k``
         is its help text, True for the shared one) and --tau where asked; its own ``flags``
         (option string -> add_argument keywords); the grid flags if ``grid``; --out,
-        --format (``formats``, default ``fmt``; none when empty: JSON only), --config.
-        Each subcommand's help lists its defaults."""
+        --format (``formats``, default ``fmt``; none when empty: JSON only), --config;
+        and ``check`` across its flags.  Each subcommand's help lists its defaults."""
         p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                            **kwargs)
+        if only is not None and name != only:
+            return
+        if required:
+            p.check = check
         if mapped:
             p.add_argument("--map", type=map_type, required=required, help="map spec")
         if variant:
@@ -293,10 +328,10 @@ def build_parser(required: bool = True) -> _Parser:
     }, grid=False)
     command("norms", "beta/sigma strip-norm profile", {
         "--t": dict(type=_number_list, required=required, help="comma-separated decreasing t values"),
-    })
+    }, check=_t_check)
     command("horizon", "largest grid-certified horizon at level k", {
         "--t-max": dict(type=_positive, default=1.0, help="scan range maximum"),
-    }, variant=True, k=True, fmt="json")
+    }, variant=True, k=True, fmt="json", check=_t_max_check)
     command("evolve", "RK4 trace of the evolution flow", {
         "--s": dict(type=_nonnegative, default=0.0, help="start time"),
         "--t": dict(type=_nonnegative, required=required, help="end time"),
@@ -587,10 +622,12 @@ def _glibc_heap():
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     heap = _glibc_heap()
+    # a subcommand needs only its own flags; anything else (--help, a typo) gets every one
+    only = argv[0] if argv and argv[0] in _HANDLERS else None
     try:
         if _has_config(argv):
-            argv = _config_argv(build_parser(required=False).parse_args(argv), argv)
-        ns = build_parser().parse_args(argv)
+            argv = _config_argv(build_parser(required=False, only=only).parse_args(argv), argv)
+        ns = build_parser(only=only).parse_args(argv)
         report, code = _HANDLERS[ns.command](ns)
         if heap is not None:
             heap.malloc_trim(0)  # the scan's kept heap goes back before the report is built

@@ -24,6 +24,15 @@ value on the cut (-inf, 0] because the derivative coefficients are
 singular or side-dependent there; the scalar helpers are more permissive
 so that boundary values of maps can still be computed.
 
+Sums, negation, scaling and the Leibniz product are written out term by
+term, in the order of the generic formulas: each Leibniz sum starts at int
+0 and each term is ``(C(n,k) * u[k]) * v[n-k]``, the ``1 *`` included.  On
+a complex carrier ``0 + x`` and ``1 * x`` can flip a signed zero or turn an
+infinite part into NaN, so keeping them gives every carrier its previous
+bits; writing the terms out drops the generator and ``sum`` calls that
+dominated scalar RK4.  Jets built here skip the public constructor's copy
+and arity check.
+
 Finiteness is checked at the edges of a computation, not in every
 operation: :func:`lift_variable` rejects a non-finite point, and
 :func:`require_finite` (called by ``ConformalMap.jet``) a non-finite
@@ -151,16 +160,18 @@ class Jet:
             )
 
     def __add__(self, other):
+        a0, a1, a2, a3 = self.coeffs
         if isinstance(other, Jet):
             self._check_center(other)
-            return Jet(self.center, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        c = self.coeffs
-        return Jet(self.center, (c[0] + other,) + c[1:])
+            b0, b1, b2, b3 = other.coeffs
+            return _jet(self.center, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
+        return _jet(self.center, (a0 + other, a1, a2, a3))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.center, tuple(-c for c in self.coeffs))
+        a0, a1, a2, a3 = self.coeffs
+        return _jet(self.center, (-a0, -a1, -a2, -a3))
 
     def __sub__(self, other):
         return self + (-other)
@@ -171,18 +182,28 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jet_mul(self, other)
-        return Jet(self.center, tuple(c * other for c in self.coeffs))
+        a0, a1, a2, a3 = self.coeffs
+        return _jet(self.center, (a0 * other, a1 * other, a2 * other, a3 * other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return jet_div(self, other)
-        return Jet(self.center, tuple(c / other for c in self.coeffs))
+        a0, a1, a2, a3 = self.coeffs
+        return _jet(self.center, (a0 / other, a1 / other, a2 / other, a3 / other))
 
     def __rtruediv__(self, other):
         # scalar / jet, via the quotient recursion with a constant numerator
         return jet_div(jet_constant(other, self.center), self)
+
+
+def _jet(center, coeffs, _new=object.__new__):
+    """A Jet of the 4-tuple ``coeffs``, without the public constructor's copy and check."""
+    jet = _new(Jet)
+    jet.center = center
+    jet.coeffs = coeffs
+    return jet
 
 
 def lift_variable(z0) -> Jet:
@@ -191,7 +212,7 @@ def lift_variable(z0) -> Jet:
         z0 = complex(z0)
     if not _all_finite(z0):
         raise EvaluationError(f"cannot lift a non-finite point z={_first_nonfinite((z0,), z0)!r}")
-    return Jet(z0, (z0, 1.0, 0.0, 0.0))
+    return _jet(z0, (z0, 1.0, 0.0, 0.0))
 
 
 def require_finite(jet: Jet) -> Jet:
@@ -207,17 +228,21 @@ def require_finite(jet: Jet) -> Jet:
 
 def jet_constant(value, z0) -> Jet:
     """Jet of the constant map ``value`` at ``z0``."""
-    return Jet(z0, (value, 0.0, 0.0, 0.0))
+    return _jet(z0, (value, 0.0, 0.0, 0.0))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Product jet by the Leibniz rule, exact through order 3."""
     a._check_center(b)
-    u, v = a.coeffs, b.coeffs
-    out = tuple(
-        sum(_BINOM[n][k] * u[k] * v[n - k] for k in range(n + 1)) for n in range(ORDER + 1)
-    )
-    return Jet(a.center, out)
+    u0, u1, u2, u3 = a.coeffs
+    v0, v1, v2, v3 = b.coeffs
+    # the generic sum(_BINOM[n][k] * u[k] * v[n - k]) written out, leading 0 and 1 * kept
+    return _jet(a.center, (
+        0 + 1 * u0 * v0,
+        0 + 1 * u0 * v1 + 1 * u1 * v0,
+        0 + 1 * u0 * v2 + 2 * u1 * v1 + 1 * u2 * v0,
+        0 + 1 * u0 * v3 + 3 * u1 * v2 + 3 * u2 * v1 + 1 * u3 * v0,
+    ))
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
@@ -233,9 +258,9 @@ def jet_div(a: Jet, b: Jet) -> Jet:
         where = _first_center(zero, a.center)
         raise EvaluationError(f"division by jet with zero value at z={where!r}")
     if not _is_np(a.center):
-        return Jet(a.center, _quotient(u, v))
+        return _jet(a.center, _quotient(u, v))
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 terms, which _quotient repairs
-        return Jet(a.center, _quotient(u, v))
+        return _jet(a.center, _quotient(u, v))
 
 
 def _quotient(u, v):
@@ -289,7 +314,7 @@ def jexp(a):
     if not isinstance(a, Jet):
         return _elementary("exp", a)
     e = _elementary("exp", a.value)
-    return Jet(a.center, _compose_derivs((e, e, e, e), a.coeffs))
+    return _jet(a.center, _compose_derivs((e, e, e, e), a.coeffs))
 
 
 def jlog(a):
@@ -301,7 +326,7 @@ def jlog(a):
     if _on_cut(v):
         raise BranchCutError(f"log jet on branch cut (-inf, 0]: value {v!r}")
     g = (_elementary("log", v), 1 / v, -1 / v ** 2, 2 / v ** 3)
-    return Jet(a.center, _compose_derivs(g, a.coeffs))
+    return _jet(a.center, _compose_derivs(g, a.coeffs))
 
 
 def jsqrt(a):
@@ -312,7 +337,7 @@ def jsqrt(a):
         raise BranchCutError(f"sqrt jet on branch cut (-inf, 0]: value {v!r}")
     s = _elementary("sqrt", v)
     g = (s, s / (2 * v), -s / (4 * v * v), 3 * s / (8 * v ** 3))
-    return Jet(a.center, _compose_derivs(g, a.coeffs))
+    return _jet(a.center, _compose_derivs(g, a.coeffs))
 
 
 def jrecip(a):
@@ -325,5 +350,5 @@ def jrecip(a):
         raise EvaluationError("reciprocal jet at zero value")
     r = 1 / v
     g = (r, -(r ** 2), 2 * r ** 3, -6 * r ** 4)
-    return Jet(a.center, _compose_derivs(g, a.coeffs))
+    return _jet(a.center, _compose_derivs(g, a.coeffs))
 

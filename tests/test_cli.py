@@ -372,8 +372,7 @@ FLAG_TABLE = {
 }
 
 
-def test_each_subcommand_keeps_its_flags_defaults_and_choices():
-    top = cli.build_parser()
+def _flag_table(top):
     subcommands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
     table = {}
     for name, p in subcommands.choices.items():
@@ -381,7 +380,15 @@ def test_each_subcommand_keeps_its_flags_defaults_and_choices():
         assert all(len(a.option_strings) == 1 for a in actions)  # one spelling each
         table[name] = {a.option_strings[0]: (a.default, tuple(a.choices) if a.choices else None,
                                              a.required) for a in actions}
-    assert table == FLAG_TABLE
+    return table
+
+
+def test_each_subcommand_keeps_its_flags_defaults_and_choices():
+    assert _flag_table(cli.build_parser()) == FLAG_TABLE
+    # main builds the flags of the invoked subcommand only; every name stays a choice
+    for name in FLAG_TABLE:
+        assert _flag_table(cli.build_parser(only=name)) == {
+            other: FLAG_TABLE[name] if other == name else {} for other in FLAG_TABLE}
 
 
 def test_config_value_is_checked_by_the_flag_type(tmp_path, capsys):
@@ -391,6 +398,17 @@ def test_config_value_is_checked_by_the_flag_type(tmp_path, capsys):
     assert err == failed_run(capsys, ["pde-check", "--map", "identity", "--samples", "0"])
     assert err.startswith("usage: ")
     assert err.endswith("chordalqc pde-check: error: argument --samples: count below 1 '0'\n")
+
+
+def test_flags_are_checked_against_each_other_after_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_min": 1e-5, "points_per_decade": 4}))
+    assert run(["horizon", "--map", "identity", "--t-max", "5e-5", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"t_max": 5e-5}))
+    err = failed_run(capsys, ["horizon", "--map", "identity", "--config", str(cfg)])
+    assert err.startswith("usage: ")
+    assert err.endswith("chordalqc horizon: error: argument --t-max: 5e-05 below --x-min 0.0001\n")
 
 
 def test_evolve_past_the_horizon_is_a_computed_failure(capsys):
@@ -546,6 +564,11 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --s: negative number '-1'"),
     (["evolve", "--map", "identity", "--t=-0.01", "--z", "1+1i", "--tau", "0.5"],
      "argument --t: negative number '-0.01'"),
+    (["horizon", "--map", "identity", "--t-max", "5e-5"],
+     "argument --t-max: 5e-05 below --x-min 0.0001"),
+    (["norms", "--map", "identity", "--t", "1,1e-5", "--x-min", "1e-3"],
+     "argument --t: smallest t 1e-05 below --x-min 0.001"),
+    (["norms", "--map", "identity", "--t", "1e-6,1e-5"], "t values must be strictly decreasing"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
@@ -557,7 +580,8 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
         "eval-z-abc", "evolve-z-j-suffix", "pde-check-samples-0", "pde-check-samples-float",
         "pde-check-seed-negative", "norms-points-per-decade-negative", "trace-check-y-count-0",
         "extend-x-min-0", "carleson-y-max-negative", "evolve-step-0", "horizon-t-max-0",
-        "evolve-s-negative", "evolve-t-negative"])
+        "evolve-s-negative", "evolve-t-negative", "horizon-t-max-below-x-min",
+        "norms-t-below-x-min", "norms-t-increasing-below-x-min"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand

@@ -558,20 +558,30 @@ def test_json_doc_of_qc_report_matches_json_dumps(rep):
 
 def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
     # 2 chunks and 3 samples; within each column 0.0 sits next to -0.0, which a value-based
-    # dedup would spell alike, among NaNs of both signs, infinities, subnormals and repeats
+    # dedup would spell alike, among NaNs of both signs, infinities, subnormals and repeats.
+    # The writer spells a magnitude once and a negative entry as "-" and its text, so each
+    # magnitude also comes with both signs in one chunk (0.7) and in two (0.9 then -0.9);
+    # Re z is all negative, Im z all nonnegative
     n = 2 * _SAMPLE_CHUNK + 3
     rng = np.random.default_rng(15)
-    pool = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
-                     0.1, -0.1, 1e16, 0.30000000000000004])
+    signed_nan = math.copysign(math.nan, -1.0)
+    assert math.isnan(signed_nan) and math.copysign(1.0, signed_nan) < 0
+    nonnegative = [0.0, math.nan, math.inf, 5e-324, 0.1, 1e16, 0.30000000000000004]
+    negative = [-0.0, signed_nan, -math.inf, -5e-324, -2.2e-308, -0.1]
+    pool = np.array(nonnegative + negative)
 
     def column():
         out = np.empty(n, dtype=complex)
         out.real, out.imag = rng.choice(pool, n), rng.choice(pool, n)
         for cut in (0, _SAMPLE_CHUNK - 1, 2 * _SAMPLE_CHUNK - 1, n - 2):
             out.real[cut:cut + 2] = out.imag[cut:cut + 2] = (0.0, -0.0) if cut % 2 else (-0.0, 0.0)
+        out.real[[5, 9]] = 0.7, -0.7
+        out.real[[6, _SAMPLE_CHUNK + 6]] = 0.9, -0.9
         return out.reshape(1, n)
 
     points, mu_fd, mu_form = column(), column(), column()
+    points.real, points.imag = rng.choice(negative, (1, n)), rng.choice(nonnegative, (1, n))
+    assert np.signbit(points.real).all() and not np.signbit(points.imag).any()
     degenerate = (rng.random(n) < 0.3).reshape(1, n)
     empty = [np.empty((0, 0), dtype=t) for t in (complex, complex, complex, bool)]
     for samples in ((points, mu_fd, mu_form, degenerate), empty):
@@ -580,3 +590,16 @@ def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
         with np.errstate(all="ignore"):
             expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
             assert _json_doc(rep) == expected
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_json_doc_of_default_grid_report_matches_json_dumps(variant):
+    # the full verify-mu report: 16 or more chunks, and Im mu columns antisymmetric in Im z,
+    # so most magnitudes come with both signs
+    h = counterexample_f()
+    rep = qc_report(h, variant, tau0_scan(h, variant, 0.5).t_star, k=0.5)
+    fd = rep.mu_fd.ravel().imag
+    assert rep.points.size > 15 * _SAMPLE_CHUNK
+    assert np.intersect1d(fd[fd > 0], -fd[fd < 0]).size > rep.points.size // 4
+    expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
+    assert _json_doc(rep) == expected

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 import warnings
 
 import mpmath
@@ -24,7 +25,16 @@ from chordalqc.jets import (
 )
 from chordalqc.maps import half_strip_g, moebius
 
-from oracles import fd_derivatives, rel_err
+from oracles import (
+    fd_derivatives,
+    generic_add,
+    generic_add_scalar,
+    generic_div_scalar,
+    generic_leibniz,
+    generic_mul_scalar,
+    generic_neg,
+    rel_err,
+)
 
 
 def assert_jet_close(jet, expected, tol=1e-12):
@@ -267,3 +277,78 @@ def test_all_finite_scalar_branch_matches_generic(re, im, n):
     assert bool(_all_finite(mpmath.mpf(re))) is math.isfinite(re)
     assert _all_finite(n) is True
     assert _all_finite(np.array([z, 1.0])) is finite
+
+
+# -- written-out ring operations against the generic formulas, bit for bit ------
+
+_SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, math.inf, -math.inf,
+                     math.nan, -math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SIGNED_COMPLEX = st.builds(complex, _SIGNED_FLOATS, _SIGNED_FLOATS)
+
+
+def _bits(x):
+    """Type and exact bits of a coefficient: real and imaginary parts apart, signed zeros,
+    infinities and NaN payloads included."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.dtype.str, np.shape(x), x.tobytes()
+    if isinstance(x, mpmath.mpc):
+        return "mpc", x._mpc_
+    if isinstance(x, mpmath.mpf):
+        return "mpf", x._mpf_
+    if isinstance(x, complex):
+        return "complex", struct.pack("<dd", x.real, x.imag)
+    if isinstance(x, float):
+        return "float", struct.pack("<d", x)
+    return type(x).__name__, x
+
+
+def _outcome(fn, *args):
+    """Bits of each coefficient fn returns, or the type of the exception it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except ZeroDivisionError as exc:
+            return type(exc)
+    return [_bits(c) for c in (out.coeffs if isinstance(out, Jet) else out)]
+
+
+@st.composite
+def _carrier_coeffs(draw):
+    """Two coefficient tuples and a scalar on one carrier: Python complex, numpy
+    complex arrays or mpmath; a tuple may be a lifted variable (z, 1.0, 0.0, 0.0)."""
+    carrier = draw(st.sampled_from(("complex", "numpy", "mpmath")))
+    size = draw(st.integers(1, 4))
+
+    def value():
+        if carrier == "numpy":
+            return np.array(draw(st.lists(_SIGNED_COMPLEX, min_size=size, max_size=size)))
+        z = draw(_SIGNED_COMPLEX)
+        return mpmath.mpc(z) if carrier == "mpmath" else z
+
+    def coeffs():
+        if draw(st.booleans()):
+            return (value(), 1.0, 0.0, 0.0)
+        return tuple(value() for _ in range(ORDER + 1))
+
+    scalar = draw(st.one_of(_SIGNED_COMPLEX, _SIGNED_FLOATS, st.sampled_from([0, 1, 2, -3])))
+    return coeffs(), coeffs(), scalar
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_carrier_coeffs())
+def test_ring_operations_match_generic_formulas_bit_for_bit(case):
+    u, v, s = case
+    center = object()  # shared by both jets, so the center check passes by identity
+    a, b = Jet(center, u), Jet(center, v)
+    assert _outcome(lambda: a + b) == _outcome(generic_add, u, v)
+    assert _outcome(lambda: a + s) == _outcome(generic_add_scalar, u, s)
+    assert _outcome(lambda: s + a) == _outcome(generic_add_scalar, u, s)
+    assert _outcome(lambda: -a) == _outcome(generic_neg, u)
+    assert _outcome(lambda: a * s) == _outcome(generic_mul_scalar, u, s)
+    assert _outcome(lambda: s * a) == _outcome(generic_mul_scalar, u, s)
+    assert _outcome(lambda: a / s) == _outcome(generic_div_scalar, u, s)
+    assert _outcome(jet_mul, a, b) == _outcome(generic_leibniz, u, v)
+    assert _outcome(lambda: a * b) == _outcome(generic_leibniz, u, v)
