@@ -12,9 +12,10 @@ Map specs follow the mini-grammar of :mod:`chordalqc.maps` (``name[:params]``,
 it where it enters: maps and points are parsed, and every number flag gets a
 value class from :func:`_checked` (count, integer, positive, nonnegative,
 tolerance, horizon, level).  A bad value is a usage error naming its flag, and
-no handler checks a flag value; the two checks that span flags (``horizon
---t-max`` and ``norms --t`` against ``--x-min``) run in the subcommand's
-parser once every flag is read.  A JSON file passed through ``--config``
+no handler checks a flag value; the checks that span flags (``horizon
+--t-max`` and ``norms --t`` against ``--x-min``, ``--x-min`` against the
+range of a command's horizon scan) run in the subcommand's parser once every
+flag is read.  A JSON file passed through ``--config``
 supplies defaults for any flag not given explicitly; flags win.
 """
 
@@ -60,30 +61,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-_WRITE_SLICE = 2 ** 20  # bytes per write, so no text copy of a whole report is made
-
-
-def _write_sliced(fh, data: bytes):
-    """Write the ASCII report ``data`` to the text stream ``fh``, decoding one
-    slice at a time: the stream's newline handling and any stream that
-    replaces it (a redirected or captured stdout) see text as before."""
-    with memoryview(data) as view:
-        for a in range(0, len(view), _WRITE_SLICE):
-            fh.write(str(view[a:a + _WRITE_SLICE], "ascii"))
-
-
-def _atomic_write(data: bytes, path: str | None):
-    """Write the ASCII report ``data`` to ``path`` through a temporary file
-    renamed into place, or to stdout when ``path`` is None."""
+def _atomic_write(report, path: str | None):
+    """Write ``report`` to ``path`` through a temporary file renamed into place, or
+    to stdout when ``path`` is None: ASCII ``bytes``, or an iterable of ASCII ``str``
+    chunks (a :class:`_Chunks`), each written as soon as it is made.  If making or
+    writing a chunk raises, the temporary file is removed and ``path`` is untouched."""
+    chunks = (str(report, "ascii"),) if isinstance(report, bytes) else report
     if path is None:
-        _write_sliced(sys.stdout, data)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chordalqc-")
     try:
         with os.fdopen(fd, "w") as fh:
-            _write_sliced(fh, data)
+            for chunk in chunks:
+                fh.write(chunk)
         # mkstemp creates 0600; give the file the mode open(path, "w") gives a new one
         umask = os.umask(0)
         os.umask(umask)
@@ -93,6 +87,23 @@ def _atomic_write(data: bytes, path: str | None):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Chunks:
+    """A report as ASCII ``str`` chunks, made one at a time as they are iterated;
+    ``len`` is the number of bytes made so far, the report's size once written."""
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._size = 0
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            self._size += len(chunk)
+            yield chunk
+
+    def __len__(self):
+        return self._size
 
 
 def _num(v) -> str:
@@ -126,7 +137,9 @@ _SAMPLE = """\
     }"""
 # its pieces, each sample led by the separator ",\n", with a None slot for each field
 _SAMPLE_SLOTS = [s for piece in (",\n" + _SAMPLE).split("%s") for s in (piece, None)][:-1]
-_SAMPLE_CHUNK = 4096  # samples formatted per chunk
+# samples formatted per chunk: a chunk's text (about 650 kB) and the list it is joined
+# from stay under the CLI's 1 MiB mmap threshold, so each reuses the last one's heap pages
+_SAMPLE_CHUNK = 2048
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -159,15 +172,17 @@ def _json_samples(columns, start: int, stop: int) -> str:
     return "".join(parts)
 
 
-def _json_doc(doc) -> bytes | bytearray:
-    """Indented JSON of ``doc`` as ASCII bytes.
+def _json_doc(doc) -> bytes | _Chunks:
+    """Indented JSON of ``doc``: ASCII bytes, or for a :class:`QCReport` with
+    samples the :class:`_Chunks` of its text.
 
     A :class:`QCReport` is written as ``json.dumps`` would write its
     ``to_json_dict()``, byte for byte, but the sample block is formatted
     straight from the report's columns: in chunks of ``_SAMPLE_CHUNK``
     samples, each chunk's fields interleaved with the sample template by
-    slices.  Each chunk is appended to one buffer as soon as it is made, so
-    the buffer and one chunk are the only copies of the text.
+    slices.  The head, everything before the samples, is made here; each
+    sample chunk, then the tail, only when :func:`_atomic_write` asks for the
+    next one, so one chunk is the only copy of the samples' text.
     """
     if isinstance(doc, ext_mod.QCReport) and doc.points is None:
         doc = doc.to_json_dict()
@@ -180,11 +195,14 @@ def _json_doc(doc) -> bytes | bytearray:
     n = columns[0].size
     if not n:
         return (head + "[]\n}\n").encode("ascii")
-    out = bytearray((head + "[").encode("ascii"))
-    for a in range(0, n, _SAMPLE_CHUNK):
-        out += _json_samples(columns, a, min(a + _SAMPLE_CHUNK, n)).encode("ascii")
-    out += b"\n  ]\n}\n"
-    return out
+
+    def chunks():
+        yield head + "["
+        for a in range(0, n, _SAMPLE_CHUNK):
+            yield _json_samples(columns, a, min(a + _SAMPLE_CHUNK, n))
+        yield "\n  ]\n}\n"
+
+    return _Chunks(chunks())
 
 
 def _complex_list(text: str) -> list:
@@ -274,11 +292,29 @@ def _t_max_check(ns):
 
 
 def _t_check(ns):
-    """``norms``' smallest t must reach the grid's first level; a list that is not
-    positive and strictly decreasing is left to the library, which names that first."""
+    """``norms``' t values must be positive and strictly decreasing, and the smallest
+    must reach the grid's first level."""
     ts = ns.t
-    if 0 < ts[-1] < ns.x_min and ts == sorted(set(ts), reverse=True):
+    if min(ts) <= 0:
+        return f"argument --t: nonpositive t {min(ts)}"
+    for a, b in zip(ts, ts[1:]):
+        if b >= a:
+            return f"argument --t: t values not strictly decreasing ({b} after {a})"
+    if ts[-1] < ns.x_min:
         return f"argument --t: smallest t {ts[-1]} below --x-min {ns.x_min}"
+
+
+def _scan_check(scans):
+    """A check for a command that scans for its horizon when ``scans(ns)``: the scan's
+    range, up to ``loewner.SCAN_T_MAX``, must reach the grid's first level."""
+    def check(ns):
+        if scans(ns) and ns.x_min > loewner_mod.SCAN_T_MAX:
+            return (f"argument --x-min: {ns.x_min} above the horizon scan's last level "
+                    f"{loewner_mod.SCAN_T_MAX}")
+    return check
+
+
+_scans_without_tau = _scan_check(lambda ns: getattr(ns, "tau", None) is None)  # as _horizon_for
 
 
 def build_parser(required: bool = True, only: str | None = None) -> _Parser:
@@ -330,33 +366,33 @@ def build_parser(required: bool = True, only: str | None = None) -> _Parser:
         "--t": dict(type=_number_list, required=required, help="comma-separated decreasing t values"),
     }, check=_t_check)
     command("horizon", "largest grid-certified horizon at level k", {
-        "--t-max": dict(type=_positive, default=1.0, help="scan range maximum"),
+        "--t-max": dict(type=_positive, default=loewner_mod.SCAN_T_MAX, help="scan range maximum"),
     }, variant=True, k=True, fmt="json", check=_t_max_check)
     command("evolve", "RK4 trace of the evolution flow", {
         "--s": dict(type=_nonnegative, default=0.0, help="start time"),
         "--t": dict(type=_nonnegative, required=required, help="end time"),
         "--z": dict(type=point_type, required=required, help="start point, re+imi"),
         "--step": dict(type=_positive, default=1e-3, help="RK4 step"),
-    }, variant=True, k=True, tau=True)
+    }, variant=True, k=True, tau=True, check=_scans_without_tau)
     command("pde-check", "closed-form Loewner PDE residuals at random samples", {
         "--samples": dict(type=_count, default=10000, help="number of random (z, t) samples"),
         "--seed": dict(type=_natural, default=0, help="RNG seed"),
         "--tol": dict(type=_tolerance, default=1e-10, help="residual tolerance"),
         "--t-cap": dict(type=_nonnegative, default=0.05, help="largest sampled time"),
-    }, variant=True, k=True, formats=())
+    }, variant=True, k=True, formats=(), check=_scans_without_tau)
     command("extend", "extension values over the imaginary axis", {
         "--z": dict(type=points_type, required=required, help="semicolon-separated points"),
-    }, variant=True, k=True, tau=True)
+    }, variant=True, k=True, tau=True, check=_scans_without_tau)
     command("verify-mu", "dilatation identity and bound over the strip", {
         "--fd-step": dict(type=_positive, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step"),
         "--fd-tol": dict(type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance"),
         **_LEVEL_COUNTS,
         "--summary-only": dict(action="store_true", help="omit per-sample rows"),
-    }, variant=True, k=True, tau=True, formats=())
+    }, variant=True, k=True, tau=True, formats=(), check=_scans_without_tau)
     command("trace-check", "chain-trace vs closed-form extension equality", {
         "--tol": dict(type=_tolerance, default=1e-12, help="equality tolerance"),
         **_LEVEL_COUNTS,
-    }, variant=True, k=True, tau=True, formats=(),
+    }, variant=True, k=True, tau=True, formats=(), check=_scans_without_tau,
         description="Compare the chain member h_t at t = -Re z, evaluated at "
         "i Im z, with the closed-form extension at z.  Both code one identity "
         "and use the same jet, so this guards the algebra of the two formulas; "
@@ -369,7 +405,8 @@ def build_parser(required: bool = True, only: str | None = None) -> _Parser:
         "--rel-tol": dict(type=_tolerance, default=1e-6, help="quadrature relative tolerance"),
         "--threshold": dict(type=_number, default=carleson_mod.DEFAULT_VANISH_THRESHOLD,
                             help="vanishing verdict threshold (fraction of the norm estimate)"),
-    }, variant=True, k="level for the mu-density horizon", tau=True)
+    }, variant=True, k="level for the mu-density horizon", tau=True,
+        check=_scan_check(lambda ns: ns.density == "mu" and ns.tau is None))
     command("mu-tilde", "composite dilatation box decomposition", {
         "--t": dict(type=_horizon, default=None, help="strip width (default: horizon at --k)"),
         "--outer": dict(choices=("none", "zero"), default="zero", help="outer dilatation beyond the strip"),
@@ -377,7 +414,7 @@ def build_parser(required: bool = True, only: str | None = None) -> _Parser:
                          help="comma-separated |I| values (default 2t,t,t/2; t,t/2 with --outer none)"),
         "--center-y": dict(type=_number, default=0.0, help="box center on the imaginary axis"),
         "--rel-tol": dict(type=_tolerance, default=1e-8, help="quadrature relative tolerance"),
-    }, k=True, formats=())
+    }, k=True, formats=(), check=_scan_check(lambda ns: ns.t is None))
     return top
 
 

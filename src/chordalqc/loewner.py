@@ -45,6 +45,7 @@ VARIANT_PRE = "pre-schwarzian"
 VARIANTS = (VARIANT_SCHWARZIAN, VARIANT_PRE)
 
 DENOM_FLOOR = 1e-9
+SCAN_T_MAX = 1.0  # the largest level a horizon scan reaches unless given another
 
 
 def _check_variant(variant: str):
@@ -232,7 +233,7 @@ def tau0_scan(
     variant: str,
     k: float = 0.5,
     grid: StripGrid | None = None,
-    t_max: float = 1.0,
+    t_max: float = SCAN_T_MAX,
 ) -> HorizonResult:
     """Scan the strip norm and certify the largest horizon at level k.
 

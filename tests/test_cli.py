@@ -411,6 +411,18 @@ def test_flags_are_checked_against_each_other_after_the_config_file(tmp_path, ca
     assert err.endswith("chordalqc horizon: error: argument --t-max: 5e-05 below --x-min 0.0001\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["carleson", "--map", "identity", "--scales", "1", "--positions", "0"],
+    ["mu-tilde", "--map", "identity", "--t", "0.25", "--scales", "0.25"],
+    ["extend", "--map", "identity", "--z", "1", "--tau", "0.5"],
+    ["evolve", "--map", "identity", "--t", "0.01", "--z", "1+1i", "--tau", "0.5", "--step", "0.005"],
+], ids=["carleson-vmoa", "mu-tilde-t", "extend-tau", "evolve-tau"])
+def test_x_min_above_the_scan_range_is_no_error_without_a_scan(capsys, args):
+    # the horizon is given (or not needed), so no scan reads the grid's levels
+    assert run([*args, "--x-min", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_evolve_past_the_horizon_is_a_computed_failure(capsys):
     # a negative time is a usage error (see test_bad_parameter_exit_one_naming_it);
     # t beyond the horizon tau0 is the flow's failure, exit 2
@@ -568,7 +580,26 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --t-max: 5e-05 below --x-min 0.0001"),
     (["norms", "--map", "identity", "--t", "1,1e-5", "--x-min", "1e-3"],
      "argument --t: smallest t 1e-05 below --x-min 0.001"),
-    (["norms", "--map", "identity", "--t", "1e-6,1e-5"], "t values must be strictly decreasing"),
+    (["norms", "--map", "identity", "--t", "1e-6,1e-5"],
+     "argument --t: t values not strictly decreasing (1e-05 after 1e-06)"),
+    (["norms", "--map", "identity", "--t", "1,1"],
+     "argument --t: t values not strictly decreasing (1.0 after 1.0)"),
+    (["norms", "--map", "identity", "--t", "1,-1"], "argument --t: nonpositive t -1.0"),
+    (["norms", "--map", "identity", "--t", "0"], "argument --t: nonpositive t 0.0"),
+    (["verify-mu", "--map", "identity", "--x-min", "2", "--summary-only"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["trace-check", "--map", "identity", "--x-min", "1.5"],
+     "argument --x-min: 1.5 above the horizon scan's last level 1.0"),
+    (["extend", "--map", "identity", "--z", "1", "--x-min", "2"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["evolve", "--map", "identity", "--t", "0.1", "--z", "1", "--x-min", "2"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["pde-check", "--map", "identity", "--x-min", "2"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["carleson", "--map", "identity", "--density", "mu", "--x-min", "2"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["mu-tilde", "--map", "identity", "--x-min", "2"],
+     "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
@@ -581,7 +612,10 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
         "pde-check-seed-negative", "norms-points-per-decade-negative", "trace-check-y-count-0",
         "extend-x-min-0", "carleson-y-max-negative", "evolve-step-0", "horizon-t-max-0",
         "evolve-s-negative", "evolve-t-negative", "horizon-t-max-below-x-min",
-        "norms-t-below-x-min", "norms-t-increasing-below-x-min"])
+        "norms-t-below-x-min", "norms-t-increasing-below-x-min", "norms-t-repeated",
+        "norms-t-negative", "norms-t-0", "verify-mu-x-min-above-scan", "trace-check-x-min-above-scan",
+        "extend-x-min-above-scan", "evolve-x-min-above-scan", "pde-check-x-min-above-scan",
+        "carleson-mu-x-min-above-scan", "mu-tilde-x-min-above-scan"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand
@@ -644,7 +678,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, args):
 
 
 def test_out_file_holds_the_stdout_bytes_across_sample_chunks(tmp_path, capsys, monkeypatch):
-    # 15 samples in chunks of 4: the report's buffer grows over 4 chunks
+    # 15 samples in chunks of 4: the report is written as 6 chunks, head and tail included
     args = ["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "5", *FAST_GRID]
     assert run(args) == 0
     one_chunk = capsys.readouterr().out.encode()
@@ -664,17 +698,41 @@ WRITE_SIZE_CASES = {
 
 @pytest.mark.parametrize("args", WRITE_SIZE_CASES.values(), ids=WRITE_SIZE_CASES.keys())
 def test_written_report_length_is_the_out_file_size(tmp_path, monkeypatch, args):
-    # a wrapper around the writer may size each write by len() of the report it is given
+    # a wrapper around the writer may size each write by len() of the report it is
+    # given, taken once the write has returned
     sizes, write = [], cli._atomic_write
 
     def recording_write(data, path):
-        sizes.append(len(data))
         write(data, path)
+        sizes.append(len(data))
 
     monkeypatch.setattr(cli, "_atomic_write", recording_write)
     out = tmp_path / "report"
     assert run([*args, "--out", str(out)]) == 0
     assert sizes == [out.stat().st_size] and sizes[0] > 0
+
+
+def test_report_failing_partway_leaves_the_out_file_untouched(tmp_path, monkeypatch):
+    # the samples' second chunk raises after the head and the first chunk are written
+    # to the temporary file: it is removed, and the existing report keeps its bytes
+    out = tmp_path / "mu.json"
+    out.write_bytes(b"old report\n")
+    made, samples = [], cli._json_samples
+
+    def failing_samples(columns, start, stop):
+        made.append(start)
+        if len(made) == 2:
+            raise MemoryError("second chunk")
+        return samples(columns, start, stop)
+
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 4)
+    monkeypatch.setattr(cli, "_json_samples", failing_samples)
+    args = ["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "5", *FAST_GRID]
+    with pytest.raises(MemoryError, match="second chunk"):
+        run([*args, "--out", str(out)])
+    assert made == [0, 4]
+    assert out.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json"]
 
 
 def test_out_file_mode_follows_umask(tmp_path):

@@ -477,10 +477,10 @@ def test_summary_commands_hold_no_per_sample_arrays(args, capsys):
     assert peak_mb < 16
 
 
-def test_full_report_holds_one_copy_of_its_text(tmp_path):
-    # the text exists once, as the buffer each chunk is appended to (1.4 times the file
-    # with the report's columns); the chunks and the document joined from them took 2.2
-    # times, formatting the samples row by row 4.8 times
+def test_full_report_holds_no_whole_copy_of_its_text(tmp_path):
+    # each chunk of the text is written as soon as it is made, so the traced peak (the
+    # report's columns and one chunk, about 0.8 times the file) is less than one whole
+    # copy of the text
     out = tmp_path / "mu.json"
     tracemalloc.start()
     try:
@@ -489,7 +489,7 @@ def test_full_report_holds_one_copy_of_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0 and json.loads(out.read_text())["map"] == "counterexample-f"
-    assert peak <= 1.6 * out.stat().st_size
+    assert peak < 1.0 * out.stat().st_size
 
 
 def test_denominator_guard_names_one_point_whatever_the_blocks(capsys):
@@ -517,6 +517,12 @@ def test_horizon_guard_names_first_point_beyond():
     pts = np.array([-0.05 + 1j, -0.3 + 2j, -0.4 - 1j])
     with pytest.raises(HorizonError, match=r"^Re z = -0\.3 at or beyond the horizon -tau = -0\.2$"):
         extend(perturbed_identity(0.3), "schwarzian", pts, tau=0.2)
+
+
+def _rendered(doc) -> bytes:
+    """The bytes ``_json_doc`` renders for ``doc``, its chunks joined."""
+    out = _json_doc(doc)
+    return out if isinstance(out, bytes) else "".join(out).encode("ascii")
 
 
 _EDGE_FLOATS = st.sampled_from(
@@ -553,7 +559,7 @@ def _qc_reports(draw):
 def test_json_doc_of_qc_report_matches_json_dumps(rep):
     with np.errstate(all="ignore"):
         expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
-        assert _json_doc(rep) == expected
+        assert _rendered(rep) == expected
 
 
 def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
@@ -589,7 +595,7 @@ def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
                        0.1, 0.2, 1e-8, int(samples[3].sum()), (), *samples)
         with np.errstate(all="ignore"):
             expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
-            assert _json_doc(rep) == expected
+            assert _rendered(rep) == expected
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -602,4 +608,4 @@ def test_json_doc_of_default_grid_report_matches_json_dumps(variant):
     assert rep.points.size > 15 * _SAMPLE_CHUNK
     assert np.intersect1d(fd[fd > 0], -fd[fd < 0]).size > rep.points.size // 4
     expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
-    assert _json_doc(rep) == expected
+    assert _rendered(rep) == expected
