@@ -47,6 +47,7 @@ from .extension import (
     mirror_strip_points,
     mu_formula,
     qc_report,
+    trace_check,
     trace_extend,
 )
 from .carleson import (

@@ -14,8 +14,9 @@ value class from :func:`_checked` (count, integer, positive, nonnegative,
 tolerance, horizon, level).  A bad value is a usage error naming its flag, and
 no handler checks a flag value; the checks that span flags (``horizon
 --t-max`` and ``norms --t`` against ``--x-min``, ``--x-min`` against the
-range of a command's horizon scan) run in the subcommand's parser once every
-flag is read.  A JSON file passed through ``--config``
+range of a command's horizon scan, and ``--tau`` less twice the pull-in of
+``verify-mu`` and ``trace-check`` above ``--x-min``) run in the subcommand's
+parser once every flag is read.  A JSON file passed through ``--config``
 supplies defaults for any flag not given explicitly; flags win.
 """
 
@@ -38,7 +39,7 @@ from . import loewner as loewner_mod
 from .errors import EvaluationError, HorizonError, QuadratureError
 from .jets import ORDER
 from .maps import CATALOG_SPECS, parse_complex, parse_map_spec
-from .schwarz import MAX_WORKERS, NormProfile, StripGrid, _run_blocks, norm_profile
+from .schwarz import MAX_WORKERS, NormProfile, StripGrid, norm_profile
 
 _USAGE_EXIT = 1
 _FAIL_EXIT = 2
@@ -304,17 +305,21 @@ def _t_check(ns):
         return f"argument --t: smallest t {ts[-1]} below --x-min {ns.x_min}"
 
 
-def _scan_check(scans):
+def _scan_check(scans, pull=None):
     """A check for a command that scans for its horizon when ``scans(ns)``: the scan's
-    range, up to ``loewner.SCAN_T_MAX``, must reach the grid's first level."""
+    range, up to ``loewner.SCAN_T_MAX``, must reach the grid's first level; with ``pull``,
+    a given --tau less twice the strip's pull-in ``pull(ns)`` must stay above it."""
     def check(ns):
         if scans(ns) and ns.x_min > loewner_mod.SCAN_T_MAX:
             return (f"argument --x-min: {ns.x_min} above the horizon scan's last level "
                     f"{loewner_mod.SCAN_T_MAX}")
+        if pull is not None and ns.tau is not None and ns.tau - 2 * pull(ns) <= ns.x_min:
+            return f"argument --tau: {ns.tau} leaves no room above --x-min {ns.x_min}"
     return check
 
 
-_scans_without_tau = _scan_check(lambda ns: getattr(ns, "tau", None) is None)  # as _horizon_for
+def _no_tau(ns):  # as _horizon_for
+    return getattr(ns, "tau", None) is None
 
 
 def build_parser(required: bool = True, only: str | None = None) -> _Parser:
@@ -373,26 +378,27 @@ def build_parser(required: bool = True, only: str | None = None) -> _Parser:
         "--t": dict(type=_nonnegative, required=required, help="end time"),
         "--z": dict(type=point_type, required=required, help="start point, re+imi"),
         "--step": dict(type=_positive, default=1e-3, help="RK4 step"),
-    }, variant=True, k=True, tau=True, check=_scans_without_tau)
+    }, variant=True, k=True, tau=True, check=_scan_check(_no_tau))
     command("pde-check", "closed-form Loewner PDE residuals at random samples", {
         "--samples": dict(type=_count, default=10000, help="number of random (z, t) samples"),
         "--seed": dict(type=_natural, default=0, help="RNG seed"),
         "--tol": dict(type=_tolerance, default=1e-10, help="residual tolerance"),
         "--t-cap": dict(type=_nonnegative, default=0.05, help="largest sampled time"),
-    }, variant=True, k=True, formats=(), check=_scans_without_tau)
+    }, variant=True, k=True, formats=(), check=_scan_check(_no_tau))
     command("extend", "extension values over the imaginary axis", {
         "--z": dict(type=points_type, required=required, help="semicolon-separated points"),
-    }, variant=True, k=True, tau=True, check=_scans_without_tau)
+    }, variant=True, k=True, tau=True, check=_scan_check(_no_tau))
     command("verify-mu", "dilatation identity and bound over the strip", {
         "--fd-step": dict(type=_positive, default=ext_mod.DEFAULT_FD_STEP, help="Wirtinger difference step"),
         "--fd-tol": dict(type=_tolerance, default=ext_mod.DEFAULT_FD_TOL, help="identity tolerance"),
         **_LEVEL_COUNTS,
         "--summary-only": dict(action="store_true", help="omit per-sample rows"),
-    }, variant=True, k=True, tau=True, formats=(), check=_scans_without_tau)
+    }, variant=True, k=True, tau=True, formats=(), check=_scan_check(_no_tau, lambda ns: ns.fd_step))
     command("trace-check", "chain-trace vs closed-form extension equality", {
         "--tol": dict(type=_tolerance, default=1e-12, help="equality tolerance"),
         **_LEVEL_COUNTS,
-    }, variant=True, k=True, tau=True, formats=(), check=_scans_without_tau,
+    }, variant=True, k=True, tau=True, formats=(),
+        check=_scan_check(_no_tau, lambda ns: ext_mod.TRACE_PULL),
         description="Compare the chain member h_t at t = -Re z, evaluated at "
         "i Im z, with the closed-form extension at z.  Both code one identity "
         "and use the same jet, so this guards the algebra of the two formulas; "
@@ -559,21 +565,11 @@ def _cmd_verify_mu(ns):
 
 def _cmd_trace_check(ns):
     tau = _horizon_for(ns)
-    # pull the deepest level just inside the horizon
-    xs, ys = ext_mod._mirror_levels(tau, 1e-9, _grid_from(ns), ns.nx, ns.ny)
-    level_max = np.empty(xs.size)
-
-    def run(a, b, mesh):
-        via_trace = ext_mod.trace_extend(ns.map, ns.variant, mesh)
-        via_formula = ext_mod.extend(ns.map, ns.variant, mesh, tau=tau)
-        level_max[a:b] = np.max(np.abs(via_trace - via_formula), axis=1)
-
-    _run_blocks(run, xs, ys)
-    worst = float(np.max(level_max))
+    points, worst = ext_mod.trace_check(ns.map, ns.variant, tau, _grid_from(ns), ns.nx, ns.ny)
     passed = worst <= ns.tol
     return {
         "map": ns.map.name, "variant": ns.variant, "tau": tau,
-        "points": xs.size * ys.size, "max_difference": worst, "tol": ns.tol, "pass": passed,
+        "points": points, "max_difference": worst, "tol": ns.tol, "pass": passed,
     }, 0 if passed else _FAIL_EXIT
 
 

@@ -13,8 +13,9 @@ reflected formula collapses to the boundary value, so E is continuous
 across the axis.
 
 Substituting t = -Re z into the Loewner chain member at the boundary
-point i Im z reproduces the reflected formula identically, which is the
-trace construction checked by :func:`trace_extend`.
+point i Im z reproduces the reflected formula identically: that is the
+trace construction of :func:`trace_extend`, and :func:`trace_check` is the
+trace-check walk that compares it with :func:`extend` over the strip grid.
 
 Dilatations are verified two ways: the closed form above, and central
 finite differences of the Wirtinger derivatives of E.  The grid report
@@ -36,6 +37,7 @@ from .schwarz import StripGrid, _run_blocks, derivative_ratios
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-6
+TRACE_PULL = 1e-9  # trace_check's pull-in of _mirror_levels: no stencil, so just inside tau
 
 
 def extend(h: ConformalMap, variant: str, z, tau: float | None = None):
@@ -247,3 +249,17 @@ def qc_report(
                         (str(exc),), *empty)
     return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance,
                     *(float(row.max()) for row in maxima), int(counts.sum()), (), *arrays)
+
+
+def trace_check(h: ConformalMap, variant: str, tau: float, grid: StripGrid | None = None,
+                nx: int | None = None, ny: int | None = None):
+    """The trace-check walk: (points, max |trace_extend - extend|) on the mirrored strip grid."""
+    xs, ys = _mirror_levels(tau, TRACE_PULL, grid, nx, ny)
+    level_max = np.empty(xs.size)
+
+    def run(a, b, mesh):
+        diff = trace_extend(h, variant, mesh) - extend(h, variant, mesh, tau=tau)
+        level_max[a:b] = np.max(np.abs(diff), axis=1)
+
+    _run_blocks(run, xs, ys)
+    return xs.size * ys.size, float(np.max(level_max))

@@ -43,7 +43,6 @@ them, because a result cannot show that a cut was crossed.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -85,9 +84,7 @@ def _all_finite(v):
         import mpmath
 
         return mpmath.isfinite(v)
-    if isinstance(v, complex):
-        return math.isfinite(v.real) and math.isfinite(v.imag)
-    return math.isfinite(v)
+    return cmath.isfinite(v)
 
 
 def _any(mask) -> bool:

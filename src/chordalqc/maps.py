@@ -106,9 +106,6 @@ class ConformalMap:
         _require_in_domain(self.domain, z, boundary_ok=True, name=self.name)
         return self.formula(z)
 
-    def __call__(self, z):
-        return self.value(z)
-
 
 def identity() -> ConformalMap:
     return ConformalMap("identity", DOMAIN_H, lambda w: w + 0.0)

@@ -235,8 +235,6 @@ def norm_profile(m: ConformalMap, t_values, grid: StripGrid | None = None) -> No
     betas, sigmas, arg_b, arg_s = [], [], [], []
     for t in ts:
         k = int(np.searchsorted(xs, t * (1 + 1e-12), side="right"))
-        if k == 0:
-            raise ValueError(f"no grid levels at or below t = {t}")
         for (level_max, level_arg), vals, args in zip(sups, (betas, sigmas), (arg_b, arg_s)):
             i = int(np.argmax(level_max[:k]))
             vals.append(float(level_max[i]))

@@ -93,6 +93,12 @@ def test_horizon_json_and_failure(tmp_path):
     assert "no horizon at level" in json.loads(out2.read_text())["error"]
 
 
+def test_horizon_with_t_max_at_x_min_scans_one_level(capsys):
+    assert run(["horizon", "--map", "identity", "--t-max", "1e-4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["levels_scanned"] == 1 and doc["t_star"] == 1e-4
+
+
 def test_evolve_reproducible(tmp_path):
     args = ["evolve", "--map", "perturbed-identity:0.3", "--t", "0.02",
             "--z", "1+1i", "--step", "0.005", *FAST_GRID]
@@ -244,6 +250,10 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert run(["eval", "--config", str(missing)]) == 1
     assert capsys.readouterr().err == (f"chordalqc: error: --config {missing}: [Errno 2] "
                                        f"No such file or directory: '{missing}'\n")
+    # and so is valid JSON that is not an object
+    cfg.write_text("[1, 2]")
+    assert run(["eval", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "chordalqc: error: --config must contain a JSON object\n"
 
 
 def test_map_type_calls_the_parser_bound_when_the_command_runs(monkeypatch):
@@ -420,6 +430,16 @@ def test_flags_are_checked_against_each_other_after_the_config_file(tmp_path, ca
 def test_x_min_above_the_scan_range_is_no_error_without_a_scan(capsys, args):
     # the horizon is given (or not needed), so no scan reads the grid's levels
     assert run([*args, "--x-min", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-mu", "--map", "identity", "--x-min", "0.1", "--tau", "0.10003", "--summary-only"],
+    ["trace-check", "--map", "identity", "--x-min", "0.1", "--tau", "0.1000001"],
+], ids=["verify-mu", "trace-check"])
+def test_tau_just_clear_of_its_pull_in_above_x_min_is_no_error(capsys, args):
+    # --tau less twice the pull-in (--fd-step 1e-5; the trace check's 1e-9) stays above --x-min
+    assert run([*args, "--nx", "3", "--ny", "3"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -600,6 +620,13 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
      "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
     (["mu-tilde", "--map", "identity", "--x-min", "2"],
      "argument --x-min: 2.0 above the horizon scan's last level 1.0"),
+    (["verify-mu", "--map", "identity", "--x-min", "2", "--tau", "0.5", "--summary-only"],
+     "argument --tau: 0.5 leaves no room above --x-min 2.0"),
+    (["trace-check", "--map", "identity", "--x-min", "2", "--tau", "0.5"],
+     "argument --tau: 0.5 leaves no room above --x-min 2.0"),
+    # above --x-min, but by less than twice --fd-step
+    (["verify-mu", "--map", "identity", "--x-min", "0.1", "--tau", "0.10001"],
+     "argument --tau: 0.10001 leaves no room above --x-min 0.1"),
 ], ids=["verify-mu-fd-step-0", "verify-mu-k-with-tau", "pde-check-t-cap-negative",
         "pde-check-t-cap-nan", "carleson-mu-tau-below-default-scales", "carleson-scale-0",
         "carleson-scale-negative", "mu-tilde-scale-negative", "verify-mu-fd-tol-negative",
@@ -615,7 +642,8 @@ def test_zero_sample_count_exit_one_naming_flag(capsys, args, name):
         "norms-t-below-x-min", "norms-t-increasing-below-x-min", "norms-t-repeated",
         "norms-t-negative", "norms-t-0", "verify-mu-x-min-above-scan", "trace-check-x-min-above-scan",
         "extend-x-min-above-scan", "evolve-x-min-above-scan", "pde-check-x-min-above-scan",
-        "carleson-mu-x-min-above-scan", "mu-tilde-x-min-above-scan"])
+        "carleson-mu-x-min-above-scan", "mu-tilde-x-min-above-scan", "verify-mu-tau-below-x-min",
+        "trace-check-tau-below-x-min", "verify-mu-tau-within-two-fd-steps-of-x-min"])
 def test_bad_parameter_exit_one_naming_it(capsys, args, message):
     err = failed_run(capsys, args)
     if message.startswith("argument "):  # the flag's type: usage line, then the subcommand
@@ -642,10 +670,14 @@ SINGLE_WRITER_CASES = {
     "maps-list": ["maps-list"],
     "eval": ["eval", "--map", "square", "--z", "1+0i;2+1i"],
     "norms": ["norms", "--map", "perturbed-identity:0.3", "--t", "1,0.1", *FAST_GRID],
+    "norms-json": ["norms", "--map", "perturbed-identity:0.3", "--t", "1,0.1", "--format", "json",
+                   *FAST_GRID],
     "horizon": ["horizon", "--map", "perturbed-identity:0.3", "--format", "csv", *FAST_GRID],
     "horizon-fail": ["horizon", "--map", "square", "--format", "csv", *FAST_GRID],
     "evolve": ["evolve", "--map", "perturbed-identity:0.3", "--t", "0.01", "--z", "1+1i",
                "--step", "0.005", *FAST_GRID],
+    "evolve-json": ["evolve", "--map", "perturbed-identity:0.3", "--t", "0.01", "--z", "1+1i",
+                    "--step", "0.005", "--format", "json", *FAST_GRID],
     "pde-check": ["pde-check", "--map", "perturbed-identity:0.3", "--samples", "50", *FAST_GRID],
     "extend": ["extend", "--map", "perturbed-identity:0.3", "--z=-0.01+1i", "--format", "json",
                *FAST_GRID],
@@ -675,6 +707,23 @@ def _stdout_and_out_file_bytes(tmp_path, capsys, args) -> bytes:
 @pytest.mark.parametrize("args", SINGLE_WRITER_CASES.values(), ids=SINGLE_WRITER_CASES.keys())
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, args):
     _stdout_and_out_file_bytes(tmp_path, capsys, args)
+
+
+@pytest.mark.parametrize("command, columns, rows", [
+    ("norms", ("t", "beta", "sigma"), lambda doc: zip(doc["t"], doc["beta"], doc["sigma"])),
+    ("evolve", ("s", "t", "z0_re", "z0_im", "z_re", "z_im", "step", "residual_estimate"),
+     lambda doc: (r.values() for r in doc["trace"])),
+])
+def test_json_report_holds_the_numbers_of_the_csv_columns(capsys, command, columns, rows):
+    args = SINGLE_WRITER_CASES[command]
+    assert run(args) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    at = [header.split(",").index(c) for c in columns]
+    want = [[float(line.split(",")[i]) for i in at] for line in lines]
+    assert run([*args, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["map"] == "perturbed-identity:0.3"
+    assert [list(r) for r in rows(doc)] == want
 
 
 def test_out_file_holds_the_stdout_bytes_across_sample_chunks(tmp_path, capsys, monkeypatch):

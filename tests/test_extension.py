@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalqc import extension, schwarz
+from chordalqc.carleson import composite_mu_tilde, mu_density
 from chordalqc.cli import _SAMPLE_CHUNK, _json_doc, main
 from chordalqc.errors import EvaluationError, HorizonError
 from chordalqc.extension import (
@@ -19,6 +21,7 @@ from chordalqc.extension import (
     mirror_strip_points,
     mu_formula,
     qc_report,
+    trace_check,
     trace_extend,
 )
 from chordalqc.loewner import VARIANTS, HerglotzField, family_ht, pde_residual, tau0_scan
@@ -147,6 +150,32 @@ def test_trace_matches_extend_counterexample_grid():
     a = trace_extend(f, "schwarzian", pts)
     b = extend(f, "schwarzian", pts)
     assert float(np.max(np.abs(a - b))) <= 1e-12
+
+
+# -- library-edge checks -----------------------------------------------------------
+
+# name -> (call, field its ValueError names); the CLI's flag types reject these values
+# first, so only a library caller reaches the checks
+EDGE_CHECKS = {
+    "grid-x-min": (lambda: StripGrid(x_min=0), "x_min"),
+    "grid-y-max": (lambda: StripGrid(y_max=-1), "y_max"),
+    "grid-y-count": (lambda: StripGrid(y_count=0), "y_count"),
+    "grid-points-per-decade": (lambda: StripGrid(points_per_decade=-1), "points_per_decade"),
+    "x-levels-below-x-min": (lambda: StripGrid().x_levels(1e-5), "x_max"),
+    "qc-report-k": (lambda: qc_report(identity(), "schwarzian", 0.5, k=1.5, nx=3, ny=3), "k"),
+    "mirror-nx": (lambda: mirror_strip_points(0.5, nx=0), "nx"),
+    "mirror-no-room": (lambda: mirror_strip_points(0.5, grid=StripGrid(x_min=0.5)), "x_min"),
+    "mu-density-tau": (lambda: mu_density(identity(), "schwarzian", 0), "tau"),
+    "composite-mu-tilde-t": (lambda: composite_mu_tilde(identity(), 0), "t"),
+    "trace-extend-side": (lambda: trace_extend(identity(), "schwarzian", 0.1 + 1j), "Re z"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CHECKS.values(), ids=EDGE_CHECKS.keys())
+def test_library_edge_check_names_its_field(case):
+    call, field = case
+    with pytest.raises(ValueError, match=rf"\b{re.escape(field)}\b"):
+        call()
 
 
 # -- carriers ---------------------------------------------------------------------
@@ -381,6 +410,7 @@ def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, ta
             try:
                 rep = qc_report(h, variant, tau, nx=nx, ny=ny)
                 summary_rep = qc_report(h, variant, tau, nx=nx, ny=ny, samples=False)
+                points, worst = trace_check(h, variant, tau, nx=nx, ny=ny)
                 assert main(trace_args) == 0
             finally:
                 sys.setswitchinterval(switch_interval)
@@ -391,8 +421,8 @@ def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, ta
         for got in (rep, summary_rep):
             assert _bits(_summary(got)) == _bits(want_summary)
         doc = json.loads(out.read_text())
-        assert doc["points"] == nx * ny
-        assert _bits(doc["max_difference"]) == _bits(want_trace)
+        assert doc["points"] == points == nx * ny
+        assert _bits(doc["max_difference"]) == _bits(worst) == _bits(want_trace)
 
 
 @pytest.mark.parametrize("degenerate_at", [
