@@ -31,6 +31,10 @@ numpy arithmetic on arrays under 2**14 complex points can differ from
 the whole mesh in the last bit (see ``schwarz.BLOCK_POINTS``).  The blocks
 may run concurrently (see ``schwarz._run_blocks``), so a formula must be
 pure: no shared state, no side effects.
+
+A map declares ``real=True`` when h(conj z) = conj h(z) by construction (real
+parameters, or a compose of two real maps); strip scans then evaluate half of a
+symmetric height grid (see ``schwarz._level_sups``), so the tests check each claim.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ class ConformalMap:
     name: str
     domain: str
     formula: Callable = field(repr=False)
+    real: bool = False  # h(conj z) = conj h(z)
 
     def jet(self, z) -> Jet:
         """Order-3 jet at an interior point (strict domain check); raises
@@ -108,7 +113,7 @@ class ConformalMap:
 
 
 def identity() -> ConformalMap:
-    return ConformalMap("identity", DOMAIN_H, lambda w: w + 0.0)
+    return ConformalMap("identity", DOMAIN_H, lambda w: w + 0.0, real=True)
 
 
 def moebius(a, b, c, d, name: str | None = None, domain: str = DOMAIN_H) -> ConformalMap:
@@ -125,7 +130,7 @@ def moebius(a, b, c, d, name: str | None = None, domain: str = DOMAIN_H) -> Conf
         # a*w is a Jet whenever w is (even for a = 0), so / picks the right rule
         return (a * w + b) / (c * w + d)
 
-    return ConformalMap(name, domain, _formula)
+    return ConformalMap(name, domain, _formula, real=not any(v.imag for v in (a, b, c, d)))
 
 
 def cayley() -> ConformalMap:
@@ -164,7 +169,7 @@ def half_strip_g() -> ConformalMap:
         g[axis] = jlog((1 + jsqrt(1 + v * v)) / v)
         return g
 
-    return ConformalMap("half-strip-g", DOMAIN_H, _formula)
+    return ConformalMap("half-strip-g", DOMAIN_H, _formula, real=True)
 
 
 def counterexample_f() -> ConformalMap:
@@ -179,11 +184,12 @@ def perturbed_identity(c) -> ConformalMap:
         raise ValueError(f"non-finite perturbed-identity parameter {c!r}")
     if abs(c) >= 1:
         raise ValueError(f"perturbed-identity needs |c| < 1, got |c| = {abs(c)}")
-    return ConformalMap(f"perturbed-identity:{_fmt(c)}", DOMAIN_H, lambda w: w + c * jexp(-w))
+    return ConformalMap(f"perturbed-identity:{_fmt(c)}", DOMAIN_H, lambda w: w + c * jexp(-w),
+                        real=c.imag == 0)
 
 
 def square_map() -> ConformalMap:
-    return ConformalMap("square", DOMAIN_H, lambda w: w * w)
+    return ConformalMap("square", DOMAIN_H, lambda w: w * w, real=True)
 
 
 def compose(outer: ConformalMap, inner: ConformalMap, name: str | None = None) -> ConformalMap:
@@ -197,7 +203,8 @@ def compose(outer: ConformalMap, inner: ConformalMap, name: str | None = None) -
         _require_in_domain(outer.domain, uval, boundary_ok=not is_jet, name=outer.name, at=at)
         return outer.formula(u)
 
-    return ConformalMap(name or f"compose:{outer.name},{inner.name}", inner.domain, _formula)
+    return ConformalMap(name or f"compose:{outer.name},{inner.name}", inner.domain, _formula,
+                        real=outer.real and inner.real)
 
 
 # -- spec strings ------------------------------------------------------------

@@ -116,13 +116,17 @@ class NormProfile:
     )
 
 
+# Fewest complex points (256 KiB) from which numpy elides temporaries.  Elision
+# swaps the operands of complex products such as ``g[3] * u1 ** 3``, and with FMA
+# a complex product is not bit-commutative, so a mesh on the other side of this
+# size than the whole mesh can have other bits.
+ELIDE_POINTS = 1 << 14
+
 # Points per block of the streamed strip scans.  Blocks hold whole Re levels
-# and never fewer than 2**14 complex points (256 KiB) unless the whole grid is
-# smaller: from that size on numpy elides temporaries, which swaps the operands
-# of complex products such as ``g[3] * u1 ** 3``, and with FMA a complex
-# product is not bit-commutative, so a smaller block would change the bits.
-# The smallest such size keeps the blocks in flight on several threads small.
-BLOCK_POINTS = 1 << 14
+# and never fewer than ELIDE_POINTS unless the whole grid is smaller, so they
+# keep the whole mesh's bits.  The smallest such size keeps the blocks in
+# flight on several threads small.
+BLOCK_POINTS = ELIDE_POINTS
 
 # Most threads a strip scan runs its blocks on.  Each block in flight holds
 # about 6.6 MB of arrays, and two threads reach only 1.5-1.85x (8-12 alternating
@@ -199,10 +203,17 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     with its first maximizing grid point: ``xs, ((beta, z_beta), (sigma, z_sigma))``.
 
     The mesh is evaluated in the blocks of :func:`_run_blocks`.  A NaN weight
-    wins its level, as it does in ``np.max``.
+    wins its level, as it does in ``np.max``.  A real map's weights at x -+ iy have
+    the same bits, so on heights with ``ys[::-1] == -ys`` a level's first maximum lies
+    in their ``Im z <= 0`` half; only that half is evaluated when it and the whole
+    mesh lie on the same side of ``ELIDE_POINTS``, which keeps the bits.
     """
     xs = grid.x_levels(x_max)
     ys = grid.y_values()
+    half = ys[: (ys.size + 1) // 2]
+    if (m.real and np.array_equal(ys[::-1], -ys)
+            and (xs.size * half.size >= ELIDE_POINTS or xs.size * ys.size < ELIDE_POINTS)):
+        ys = half
     sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
 
     def run(a, b, mesh):

@@ -174,15 +174,41 @@ def _bits(values):
     return np.asarray(values).tobytes()
 
 
+def _assert_scans_match_whole_mesh(m, grid, ts, variant, k=0.5):
+    """Each level's sups and first maximizing points, norm_profile over ``ts`` and
+    tau0_scan up to ``ts[0]`` give the whole mesh's bits."""
+    mesh, w_beta, w_sigma, want = _whole_mesh_profile(m, grid, ts)
+    level = np.arange(mesh.shape[0])
+    for w, (vals, args) in zip((w_beta, w_sigma), schwarz._level_sups(m, grid, ts[0])[1]):
+        col = np.argmax(w, axis=1)
+        assert _bits(vals) == _bits(w[level, col])
+        assert _bits(args) == _bits(mesh[level, col])
+    prof = norm_profile(m, ts, grid=grid)
+    for label, values in want.items():
+        assert _bits(getattr(prof, label)) == _bits(values), label
+    level_sup = (w_sigma if variant == VARIANT_SCHWARZIAN else w_beta).max(axis=1)
+    if level_sup[0] > k:
+        with pytest.raises(HorizonError, match=f"norm {level_sup[0]:.6g} at smallest"):
+            tau0_scan(m, variant, k, grid=grid, t_max=ts[0])
+        return
+    res = tau0_scan(m, variant, k, grid=grid, t_max=ts[0])
+    assert _bits(res.x_levels) == _bits(mesh[:, 0].real)
+    assert _bits(res.level_sup) == _bits(level_sup)
+
+
 @st.composite
 def _streamed_grids(draw):
-    """BLOCK_POINTS >= 2**14 and a grid of 0-2 whole blocks plus a short tail of levels."""
+    """BLOCK_POINTS >= 2**14 and a grid of 0-2 whole blocks plus a short tail of levels,
+    of an odd or an even height count on [-20, 20] (bit-symmetric at some counts) or
+    on [-7.3, 7.3] (not bit-symmetric at some counts)."""
     block_points = draw(st.integers(2 ** 14, 2 ** 15))
-    y_count = draw(st.integers(33, 257))
+    y_count = 2 * draw(st.integers(17, 128)) + draw(st.sampled_from((1, 0)))
+    y_max = draw(st.sampled_from((20.0, 7.3)))
     rows = -(-block_points // y_count)
     levels = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
     # one decade from x_min = 0.1 to 1 holds points_per_decade + 1 levels
-    return block_points, StripGrid(x_min=0.1, points_per_decade=levels - 1, y_count=y_count)
+    grid = StripGrid(x_min=0.1, points_per_decade=levels - 1, y_max=y_max, y_count=y_count)
+    return block_points, grid
 
 
 @pytest.mark.parametrize("spec", ["identity", "counterexample-f", "perturbed-identity:0.3",
@@ -192,10 +218,6 @@ def _streamed_grids(draw):
 def test_streamed_scans_match_whole_mesh_bit_for_bit(spec, case, variant):
     block_points, grid = case
     m = parse_map_spec(spec)
-    ts = (1.0, 0.5, 0.1)
-    mesh, w_beta, w_sigma, want = _whole_mesh_profile(m, grid, ts)
-    k = 0.5
-    level_sup = (w_sigma if variant == VARIANT_SCHWARZIAN else w_beta).max(axis=1)
     # one worker runs the serial loop; three threads, more than most runners have
     # CPUs, with frequent thread switches, interleave the blocks' writes
     switch_interval = sys.getswitchinterval()
@@ -206,18 +228,89 @@ def test_streamed_scans_match_whole_mesh_bit_for_bit(spec, case, variant):
             mp.setattr(schwarz, "MAX_WORKERS", workers)
             sys.setswitchinterval(1e-5)
             try:
-                prof = norm_profile(m, ts, grid=grid)
-                for label, values in want.items():
-                    assert _bits(getattr(prof, label)) == _bits(values), label
-                if level_sup[0] > k:
-                    with pytest.raises(HorizonError, match=f"norm {level_sup[0]:.6g} at smallest"):
-                        tau0_scan(m, variant, k, grid=grid)
-                    continue
-                res = tau0_scan(m, variant, k, grid=grid)
+                _assert_scans_match_whole_mesh(m, grid, (1.0, 0.5, 0.1), variant)
             finally:
                 sys.setswitchinterval(switch_interval)
-        assert _bits(res.x_levels) == _bits(mesh[:, 0].real)
-        assert _bits(res.level_sup) == _bits(level_sup)
+
+
+# ppd 16, 20 and 30 hold 16,705 to 31,097 points from 1e-4 to 1, but their Im z <= 0
+# halves fewer than 2**14: numpy elides the whole mesh's temporaries and not the half's
+ELISION_EDGE_GRIDS = [StripGrid(points_per_decade=16), StripGrid(points_per_decade=20),
+                      StripGrid(points_per_decade=30), StripGrid(), StripGrid(y_max=7.3),
+                      StripGrid(y_count=256), StripGrid(y_max=200.0, y_count=26)]
+
+
+@pytest.mark.parametrize("spec", ["counterexample-f", "half-strip-g"])
+@pytest.mark.parametrize("grid", ELISION_EDGE_GRIDS,
+                         ids=lambda g: f"ppd{g.points_per_decade}-y{g.y_max:g}x{g.y_count}")
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_half_grid_scans_keep_the_whole_mesh_bits(spec, grid, variant):
+    _assert_scans_match_whole_mesh(parse_map_spec(spec), grid, (1.0, 0.1, 0.01), variant)
+
+
+def test_half_grid_rule_reads_the_elision_size_not_the_block_size(monkeypatch):
+    # with blocks of 2**15 points this 16,448-point grid is one block, and numpy elides
+    # its temporaries but not those of its 8,256-point half: the whole grid is scanned
+    monkeypatch.setattr(schwarz, "BLOCK_POINTS", 2 ** 15)
+    grid = StripGrid(x_min=0.1, points_per_decade=63)
+    for variant in VARIANTS:
+        _assert_scans_match_whole_mesh(counterexample_f(), grid, (1.0, 0.5, 0.1), variant)
+
+
+@pytest.mark.parametrize("spec, grid, heights", [
+    ("counterexample-f", StripGrid(), 129),  # half of 257
+    ("counterexample-f", StripGrid(y_max=200.0, y_count=26), 13),  # an even count
+    ("counterexample-f", StripGrid(y_count=256), 256),  # heights not bit-symmetric
+    ("counterexample-f", StripGrid(points_per_decade=40), 129),  # both meshes above 2**14
+    ("counterexample-f", StripGrid(points_per_decade=16), 257),  # only the whole mesh is
+    ("counterexample-f", StripGrid(y_max=7.3), 257),  # heights not bit-symmetric
+    ("perturbed-identity:0.3+0.1i", StripGrid(), 257),  # not real
+])
+def test_strip_scan_evaluates_half_the_heights_only_where_the_rule_holds(
+        monkeypatch, spec, grid, heights):
+    seen = set()
+    run_blocks = schwarz._run_blocks
+
+    def spy(run, xs, ys):
+        seen.add(ys.size)
+        return run_blocks(run, xs, ys)
+
+    monkeypatch.setattr(schwarz, "_run_blocks", spy)
+    schwarz._level_sups(parse_map_spec(spec), grid, 1.0)
+    assert seen == {heights}
+
+
+# (spec, its claim, whether its weights are mirror-symmetric); a translation by i is
+# not real, but its weights are all zero: a False claim only forgoes the half scan
+REAL_CLAIMS = [
+    ("identity", True, True),
+    ("square", True, True),
+    ("half-strip-g", True, True),
+    ("counterexample-f", True, True),
+    ("phi", True, True),
+    ("moebius:2,1,1,3", True, True),
+    ("perturbed-identity:0.3", True, True),
+    ("perturbed-identity:0.9", True, True),
+    ("perturbed-identity:0.3-0i", True, True),
+    ("compose:half-strip-g,moebius:2,0,0,1", True, True),
+    ("perturbed-identity:0.3+0.1i", False, False),
+    ("moebius:1,0,1i,1", False, False),
+    ("moebius:1,1i,0,1", False, True),
+    ("compose:half-strip-g,moebius:1,1i,0,1", False, False),
+]
+
+
+@pytest.mark.parametrize("spec, real, mirrored", REAL_CLAIMS)
+@pytest.mark.parametrize("zero", [True, False], ids=["odd", "even"])
+def test_real_claim_is_mirror_symmetric_strip_weights(monkeypatch, spec, real, mirrored, zero):
+    y = np.linspace(0.01, 20.0, 100)
+    ys = np.concatenate([-y[::-1], [0.0] if zero else [], y])
+    monkeypatch.setattr(StripGrid, "y_values", lambda self: ys)
+    m = parse_map_spec(spec)
+    assert m.real is real
+    _, w_beta, w_sigma = strip_weights(m, StripGrid(x_min=1e-3, points_per_decade=16), 10.0)
+    for w in (w_beta, w_sigma):
+        assert (_bits(w[:, ::-1]) == _bits(w)) is mirrored
 
 
 def test_streamed_argmax_ties_pick_first_grid_point(monkeypatch):
