@@ -33,7 +33,7 @@ from .errors import EvaluationError, HorizonError
 from .jets import _first_center
 from .loewner import VARIANT_PRE, VARIANT_SCHWARZIAN, _check_variant, _guard, family_ht
 from .maps import ConformalMap
-from .schwarz import StripGrid, _run_blocks, derivative_ratios
+from .schwarz import StripGrid, _run_scan, derivative_ratios
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_TOL = 1e-6
@@ -210,7 +210,9 @@ def qc_report(
     (pre-schwarzian) plus the FD/formula identity at every accepted
     sample.  Degenerate samples (|d_z| ~ 0) are excluded from PASS/FAIL
     and counted separately.  Each block of the grid reduces its levels to
-    the summary's maxima; ``samples=False`` keeps no per-sample arrays.
+    the summary's maxima; ``samples=False`` keeps no per-sample arrays and may scan
+    half the heights (``schwarz._run_scan``).  Samples keep the whole mesh: a mirrored
+    sample is its partner's conjugate, but a zero part of it may have the other sign.
     """
     _check_variant(variant)
     if not 0 < k < 1:
@@ -237,12 +239,13 @@ def qc_report(
         for row, vals in zip(maxima, (np.abs(fd), np.abs(form),
                                       np.where(deg, 0.0, np.abs(fd - form)))):
             row[a:b] = vals.max(axis=1)
-        counts[a:b] = deg.sum(axis=1)
+        # a half scan's heights below its middle one stand for their mirrors too
+        counts[a:b] = deg.sum(axis=1) + deg[:, : ys.size - mesh.shape[1]].sum(axis=1)
         for out, vals in zip(arrays, (mesh, fd, form, deg)):
             out[a:b] = vals
 
     try:
-        _run_blocks(run, xs, ys)
+        _run_scan(run, xs, ys, h.real and not samples)
     except (EvaluationError, HorizonError) as exc:
         empty = [np.empty((0, 0), dtype=a.dtype) for a in arrays]
         return QCReport(h.name, variant, k, tau, fd_step, fd_tolerance, 0.0, 0.0, 0.0, 0,
@@ -253,7 +256,7 @@ def qc_report(
 
 def trace_check(h: ConformalMap, variant: str, tau: float, grid: StripGrid | None = None,
                 nx: int | None = None, ny: int | None = None):
-    """The trace-check walk: (points, max |trace_extend - extend|) on the mirrored strip grid."""
+    """The trace-check walk: (whole-grid points, max |trace_extend - extend|) by ``_run_scan``."""
     xs, ys = _mirror_levels(tau, TRACE_PULL, grid, nx, ny)
     level_max = np.empty(xs.size)
 
@@ -261,5 +264,5 @@ def trace_check(h: ConformalMap, variant: str, tau: float, grid: StripGrid | Non
         diff = trace_extend(h, variant, mesh) - extend(h, variant, mesh, tau=tau)
         level_max[a:b] = np.max(np.abs(diff), axis=1)
 
-    _run_blocks(run, xs, ys)
+    _run_scan(run, xs, ys, h.real)
     return xs.size * ys.size, float(np.max(level_max))

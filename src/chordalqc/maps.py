@@ -33,8 +33,9 @@ may run concurrently (see ``schwarz._run_blocks``), so a formula must be
 pure: no shared state, no side effects.
 
 A map declares ``real=True`` when h(conj z) = conj h(z) by construction (real
-parameters, or a compose of two real maps); strip scans then evaluate half of a
-symmetric height grid (see ``schwarz._level_sups``), so the tests check each claim.
+parameters, or a compose of two real maps); strip scans, ``verify-mu --summary-only``
+and ``trace-check`` then evaluate half of a symmetric height grid (see
+``schwarz._run_scan``), so the tests check each claim.
 """
 
 from __future__ import annotations

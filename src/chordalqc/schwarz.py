@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, EvaluationError, HorizonError
 from .jets import Jet, _any
 from .maps import ConformalMap
 
@@ -198,22 +198,35 @@ def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
         future.result()
 
 
+def _run_scan(run, xs: np.ndarray, ys: np.ndarray, real: bool):
+    """:func:`_run_blocks` for a reduction over the grid ``xs`` by ``ys`` that keeps no samples.
+
+    With ``real`` (values at x -+ iy are conjugates) it evaluates only the ``Im z <= 0``
+    half ``ys[:(n+1)//2]``, as ``run`` sees by its mesh width, when ``ys[::-1] == -ys`` and
+    the half and the whole mesh lie on the same side of ``ELIDE_POINTS``, which keeps the
+    bits of abs, max and counts and the first maximizing point in row-major order.  A half
+    block holds the levels of about two whole ones, so a failing half scan runs again on
+    every height to raise the error the whole mesh's blocks meet first.
+    """
+    half = ys[: (ys.size + 1) // 2]
+    if (real and np.array_equal(ys[::-1], -ys)
+            and (xs.size * half.size >= ELIDE_POINTS or xs.size * ys.size < ELIDE_POINTS)):
+        try:
+            return _run_blocks(run, xs, half)
+        except (EvaluationError, HorizonError):
+            pass
+    _run_blocks(run, xs, ys)
+
+
 def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
     """Re levels and, per level, the max of (2x)|Pf| and of (2x)^2|Sf|, each
     with its first maximizing grid point: ``xs, ((beta, z_beta), (sigma, z_sigma))``.
 
-    The mesh is evaluated in the blocks of :func:`_run_blocks`.  A NaN weight
-    wins its level, as it does in ``np.max``.  A real map's weights at x -+ iy have
-    the same bits, so on heights with ``ys[::-1] == -ys`` a level's first maximum lies
-    in their ``Im z <= 0`` half; only that half is evaluated when it and the whole
-    mesh lie on the same side of ``ELIDE_POINTS``, which keeps the bits.
+    The mesh is evaluated by :func:`_run_scan`.  A NaN weight wins its level, as it
+    does in ``np.max``.  A real map's weights at x -+ iy have the same bits, so a
+    level's first maximum on heights with ``ys[::-1] == -ys`` lies in their half.
     """
     xs = grid.x_levels(x_max)
-    ys = grid.y_values()
-    half = ys[: (ys.size + 1) // 2]
-    if (m.real and np.array_equal(ys[::-1], -ys)
-            and (xs.size * half.size >= ELIDE_POINTS or xs.size * ys.size < ELIDE_POINTS)):
-        ys = half
     sups = tuple((np.empty(xs.size), np.empty(xs.size, dtype=complex)) for _ in range(2))
 
     def run(a, b, mesh):
@@ -223,7 +236,7 @@ def _level_sups(m: ConformalMap, grid: StripGrid, x_max: float):
             vals[a:b] = w[level, col]
             args[a:b] = mesh[level, col]
 
-    _run_blocks(run, xs, ys)
+    _run_scan(run, xs, grid.y_values(), m.real)
     return xs, sups
 
 

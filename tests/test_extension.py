@@ -35,7 +35,7 @@ from chordalqc.maps import (
     perturbed_identity,
     square_map,
 )
-from chordalqc.schwarz import StripGrid
+from chordalqc.schwarz import StripGrid, norm_profile
 
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
 
@@ -346,9 +346,9 @@ def _bits(values):
     return np.asarray(values).tobytes()
 
 
-def _whole_mesh_qc(h, variant, tau, fd_step, nx, ny):
+def _whole_mesh_qc(h, variant, tau, fd_step, nx, ny, grid=None):
     """mu_fd, mu_formula and degenerate of qc_report, evaluated on the whole mesh."""
-    pts = mirror_strip_points(tau, fd_step=fd_step, nx=nx, ny=ny)
+    pts = mirror_strip_points(tau, fd_step=fd_step, grid=grid, nx=nx, ny=ny)
     d_z, d_zbar = extension._wirtinger_pair(lambda w: extend(h, variant, w, tau=tau), pts,
                                             fd_step)
     degenerate = np.abs(d_z) < 100 * np.finfo(float).eps / fd_step
@@ -425,12 +425,81 @@ def test_blocked_qc_report_and_trace_check_match_whole_mesh_bit_for_bit(spec, ta
         assert _bits(doc["max_difference"]) == _bits(worst) == _bits(want_trace)
 
 
-@pytest.mark.parametrize("degenerate_at", [
-    lambda z: z.imag > 0,  # the upper half of each level
-    lambda z: np.ones(z.shape, dtype=bool),  # every sample: no accepted one is left
-], ids=["upper-half", "all"])
+def _whole_mesh_trace(h, variant, tau, grid=None, ny=None):
+    """trace_check's (points, max) reduced over the whole mesh."""
+    pts = mirror_strip_points(tau, fd_step=extension.TRACE_PULL, grid=grid, ny=ny)
+    return pts.size, float(np.max(np.abs(trace_extend(h, variant, pts)
+                                         - extend(h, variant, pts, tau=tau))))
+
+
+# (grid, ny, the taus at which a real map's summary and trace walks scan only the
+# Im z <= 0 half); at tau 0.5 and 1.0 the mirrored grid has the norm grid's 238 and 257
+# levels at 64 points per decade, 61 and 65 at 16, 75 and 81 at 20, 112 and 121 at 30
+HALF_WALK_GRIDS = [
+    pytest.param(StripGrid(), None, (0.5, 1.0), id="default"),
+    # 15,677 points at tau 0.5, both meshes under 2**14; 16,705 at 1.0, the half under
+    pytest.param(StripGrid(points_per_decade=16), None, (0.5,), id="ppd16"),
+    pytest.param(StripGrid(), 9, (0.5, 1.0), id="ny9"),  # bit-symmetric on [-20, 20]
+    pytest.param(StripGrid(), 129, (1.0,), id="ny129"),  # half under 2**14 at tau 0.5
+    pytest.param(StripGrid(), 513, (0.5, 1.0), id="ny513"),
+    pytest.param(StripGrid(), 6, (0.5, 1.0), id="ny6"),  # an even count: no y = 0
+    # 19,275 to 31,097 points, halves under 2**14
+    pytest.param(StripGrid(points_per_decade=20), None, (), id="ppd20"),
+    pytest.param(StripGrid(points_per_decade=30), None, (), id="ppd30"),
+    # heights that are not bit-symmetric
+    pytest.param(StripGrid(y_max=7.3), None, (), id="y7.3"),
+    pytest.param(StripGrid(), 256, (), id="ny256"),
+    pytest.param(StripGrid(), 300, (), id="ny300"),
+]
+
+
+@pytest.mark.parametrize("spec", ["counterexample-f", "perturbed-identity:0.3"])
+@pytest.mark.parametrize("grid, ny, half_at", HALF_WALK_GRIDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_half_summary_and_trace_walks_keep_the_whole_mesh_bits(scanned_heights, spec, grid, ny,
+                                                                half_at, variant):
+    seen = scanned_heights
+    h = parse_map_spec(spec)
+    heights = ny or grid.y_count
+    for tau in (0.5, 1.0):
+        want = _whole_mesh_summary(*_whole_mesh_qc(h, variant, tau, 1e-5, None, ny, grid))
+        want_trace = _whole_mesh_trace(h, variant, tau, grid, ny)
+        seen.clear()
+        rep = qc_report(h, variant, tau, grid=grid, ny=ny, samples=False)
+        trace = trace_check(h, variant, tau, grid=grid, ny=ny)
+        assert seen == [(heights + 1) // 2 if tau in half_at else heights] * 2
+        assert rep.failures == ()
+        assert _bits(_summary(rep)) == _bits(want)
+        assert trace[0] == want_trace[0] and _bits(trace[1]) == _bits(want_trace[1])
+
+
+def test_half_summary_counts_a_degenerate_middle_row_once(monkeypatch, scanned_heights):
+    wirtinger_pair = extension._wirtinger_pair
+
+    def pair(F, z, step):
+        d_z, d_zbar = wirtinger_pair(F, z, step)
+        return np.where(z.imag == 0, 0.0, d_z), d_zbar
+
+    monkeypatch.setattr(extension, "_wirtinger_pair", pair)
+    h = counterexample_f()
+    want = _whole_mesh_summary(*_whole_mesh_qc(h, "schwarzian", 1.0, 1e-5, None, None))
+    rep = qc_report(h, "schwarzian", 1.0, samples=False)
+    assert scanned_heights == [129]
+    assert _bits(_summary(rep)) == _bits(want) and rep.degenerate_count == 257
+
+
+@pytest.mark.parametrize("spec, tau, degenerate_at", [
+    # the upper half of each level: a real map's d_z cannot vanish there alone, so a
+    # non-real map, whose summary scans every height
+    ("perturbed-identity:0.3+0.1i", 0.5, lambda z: z.imag > 0),
+    # a mirror-symmetric set, which a real map's summary sees in its Im z <= 0 half: each
+    # mirrored height counts twice, y = 0 once
+    ("counterexample-f", 1.0, lambda z: abs(z.imag) < 5),
+    ("counterexample-f", 1.0, lambda z: np.ones(z.shape, dtype=bool)),  # no accepted sample
+], ids=["upper-half", "mirrored", "all"])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_qc_report_summary_skips_degenerate_samples(monkeypatch, degenerate_at, workers):
+def test_qc_report_summary_skips_degenerate_samples(monkeypatch, spec, tau, degenerate_at,
+                                                    workers):
     # d_z = 0 on a known set of samples: mu_fd is 0 there and the identity error,
     # which would be |mu_formula|, is left out of the summary
     wirtinger_pair = extension._wirtinger_pair
@@ -442,12 +511,12 @@ def test_qc_report_summary_skips_degenerate_samples(monkeypatch, degenerate_at, 
     monkeypatch.setattr(extension, "_wirtinger_pair", pair)
     monkeypatch.setattr(schwarz, "_cpu_count", lambda: workers)
     monkeypatch.setattr(schwarz, "MAX_WORKERS", workers)
-    h, nx, ny = counterexample_f(), 200, 257  # 51,400 samples: three blocks
-    pts, mu_fd, mu_form, degenerate = want = _whole_mesh_qc(h, "schwarzian", 1.0, 1e-5, nx, ny)
+    h, nx, ny = parse_map_spec(spec), 200, 257  # 51,400 samples: three blocks
+    pts, mu_fd, mu_form, degenerate = want = _whole_mesh_qc(h, "schwarzian", tau, 1e-5, nx, ny)
     assert _bits(degenerate) == _bits(degenerate_at(pts))
     assert np.abs(mu_form[degenerate]).max() > 0.1  # far over fd_tolerance
     for samples in (True, False):
-        rep = qc_report(h, "schwarzian", 1.0, nx=nx, ny=ny, samples=samples)
+        rep = qc_report(h, "schwarzian", tau, nx=nx, ny=ny, samples=samples)
         assert _bits(_summary(rep)) == _bits(_whole_mesh_summary(*want))
         assert rep.degenerate_count == degenerate.sum() > 0
         assert rep.max_identity_error <= rep.fd_tolerance and rep.passed
@@ -477,6 +546,31 @@ def test_qc_report_names_failure_of_first_block(monkeypatch):
     assert rep.failures == ("failure in block 0",)
     assert rep.points.size == 0
     assert _summary(rep) == (0.0, 0.0, 0.0, 0) and not rep.passed
+
+
+def test_failing_half_scan_raises_the_error_of_the_whole_mesh():
+    # the default grid's 257 levels are blocks of 64 levels of the whole mesh and of 128
+    # of the half.  The formula fails in its second operation on the first block and in
+    # its first operation on the second, so a half block holds both and meets the second
+    # block's failure first; the walks rescan every height and name the first block's
+    levels = StripGrid().x_levels(1.0)
+    bound = (levels[63] + levels[64]) / 2
+
+    def formula(w):
+        x = abs(w.center.real)
+        if np.any(x > bound):
+            raise EvaluationError("first operation, second block")
+        if np.any(x < 1.5e-4):
+            raise EvaluationError("second operation, first block")
+        return w
+
+    m = ConformalMap("fake", DOMAIN_H, formula, real=True)
+    with pytest.raises(EvaluationError, match="^second operation, first block$"):
+        norm_profile(m, [1.0])
+    assert qc_report(m, "schwarzian", 1.0, samples=False).failures == (
+        "second operation, first block",)
+    with pytest.raises(EvaluationError, match="^second operation, first block$"):
+        trace_check(m, "schwarzian", 1.0)
 
 
 def test_qc_report_memory_is_bounded():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chordalqc import schwarz
 from chordalqc.errors import DegenerateSampleError, EvaluationError, HorizonError
+from chordalqc.extension import qc_report, trace_check
 from chordalqc.loewner import VARIANT_SCHWARZIAN, VARIANTS, tau0_scan
 from chordalqc.maps import (
     DOMAIN_H,
@@ -267,17 +268,15 @@ def test_half_grid_rule_reads_the_elision_size_not_the_block_size(monkeypatch):
     ("perturbed-identity:0.3+0.1i", StripGrid(), 257),  # not real
 ])
 def test_strip_scan_evaluates_half_the_heights_only_where_the_rule_holds(
-        monkeypatch, spec, grid, heights):
-    seen = set()
-    run_blocks = schwarz._run_blocks
-
-    def spy(run, xs, ys):
-        seen.add(ys.size)
-        return run_blocks(run, xs, ys)
-
-    monkeypatch.setattr(schwarz, "_run_blocks", spy)
-    schwarz._level_sups(parse_map_spec(spec), grid, 1.0)
-    assert seen == {heights}
+        scanned_heights, spec, grid, heights):
+    m = parse_map_spec(spec)
+    schwarz._level_sups(m, grid, 1.0)
+    # at tau 1.0 the mirrored grids of the summary and trace walks have the scan's levels;
+    # the full report's samples keep every height
+    qc_report(m, VARIANT_SCHWARZIAN, 1.0, grid=grid, samples=False)
+    trace_check(m, VARIANT_SCHWARZIAN, 1.0, grid=grid)
+    qc_report(m, VARIANT_SCHWARZIAN, 1.0, grid=grid)
+    assert scanned_heights == [heights] * 3 + [grid.y_count]
 
 
 # (spec, its claim, whether its weights are mirror-symmetric); a translation by i is
