@@ -17,7 +17,9 @@ axis are integrated in u with x = u^2, so integrands growing like 1/x
 near the edge (the pre-schwarzian dilatation density) stay accurate;
 piecewise densities declare their breakpoints and panels never straddle
 them.  Each refinement round evaluates the new panels of every open box
-of a scan together, at most CALL_NODES nodes per density call.  A box
+of a scan together, at most CALL_NODES nodes per density call, each in
+blocks of whole panels on the strip scans' block runner (whole if the
+density is piecewise).  A box
 that is not finite and nonempty raises ValueError on entry, and one that
 needs more than MAX_PANELS panels, or a panel narrower than MIN_WIDTH
 times its side, QuadratureError.  bigbox_decomposition runs the engine
@@ -41,9 +43,10 @@ import numpy as np
 
 from .errors import EvaluationError, QuadratureError
 from .extension import mu_formula
+from .jets import _first_center
 from .loewner import VARIANT_SCHWARZIAN, _check_variant
 from .maps import ConformalMap
-from .schwarz import derivative_ratios
+from .schwarz import _run_rows, derivative_ratios
 
 DEFAULT_SCALES = tuple(2.0 ** (-j) for j in range(11))
 DEFAULT_POSITIONS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
@@ -115,8 +118,10 @@ def _panel_sums(density: Density, panels: list):
     |K - Gx*Ky| and |K - Kx*Gy| on the panels (box, xa, xb, ya, yb, in_u), at
     most CALL_NODES nodes per density call.
 
-    Each panel is reduced on its own, so its bits do not depend on the
-    panels that share its call."""
+    A call runs in blocks of whole panels (``schwarz._run_rows``) that keep its bits, and
+    again whole if one fails, to raise the call's first failure.  A piecewise density's
+    calls run whole: a block can hold fewer than ELIDE_POINTS nodes of a piece where the
+    call holds more (``composite_mu_tilde`` evaluates each alone).  Panels sum alone."""
     geo = np.array([p[1:5] for p in panels])
     xs, wxk, wxg = _axis_rule(geo[:, 0], geo[:, 1], np.array([p[5] for p in panels]))
     ys, wyk, wyg = _axis_rule(geo[:, 2], geo[:, 3], np.zeros(len(panels), dtype=bool))
@@ -124,8 +129,20 @@ def _panel_sums(density: Density, panels: list):
     k, *errs = [], [], [], []
     for lo in range(0, len(panels), _PANELS_PER_CALL):
         c = slice(lo, lo + _PANELS_PER_CALL)
-        vals = np.asarray(density.evaluator(sign * xs[c, :, None] + 1j * ys[c, None, :]),
-                          dtype=float)
+        vals = np.empty((len(geo[c]), _XK.size, _XK.size))
+
+        def run(a, b):
+            d = slice(lo + a, lo + b)
+            vals[a:b] = density.evaluator(sign * xs[d, :, None] + 1j * ys[d, None, :])
+
+        blocked = not (density.x_breakpoints or density.y_breakpoints)
+        if blocked:
+            try:
+                _run_rows(run, len(vals), vals[0].size)
+            except Exception:  # a block names its own first failure: rerun to name the call's
+                blocked = False
+        if not blocked:
+            run(0, len(vals))
         kc = np.sum(vals * (wxk[c, :, None] * wyk[c, None, :]), axis=(1, 2))
         k.extend(kc.tolist())
         for out, wx, wy in zip(errs, (wxg, wxg, wxk), (wyg, wyk, wyg)):
@@ -290,10 +307,11 @@ def mu_density(h: ConformalMap, variant: str, tau: float) -> Density:
 
     def _eval(z):
         x = np.real(z)
-        if np.any(x >= 0) or np.any(x < -tau):
+        bad = (x >= 0) | (x < -tau)
+        if np.any(bad):
             raise EvaluationError(
                 f"dilatation density defined on -{tau} <= Re z < 0 only "
-                "(outer extension not configured)"
+                f"(outer extension not configured) at z={_first_center(bad, z)!r}"
             )
         m = mu_formula(h, variant, z)
         return np.abs(m) ** 2 / (-2.0 * x)
@@ -310,14 +328,16 @@ def composite_mu_tilde(h: ConformalMap, t: float, outer=None):
     def _field(z):
         x = z.real
         if np.any(x >= 0):
-            raise EvaluationError("composite dilatation lives on Re z < 0")
+            raise EvaluationError("composite dilatation lives on Re z < 0 "
+                                  f"at z={_first_center(x >= 0, z)!r}")
         inner = x >= -t
         out = np.zeros(z.shape, dtype=complex)
         if inner.any():
             out[inner] = mu_formula(h, VARIANT_SCHWARZIAN, z[inner])
         if (~inner).any():
             if outer is None:
-                raise EvaluationError(f"outer extension not configured for Re z < {-t}")
+                raise EvaluationError(f"outer extension not configured for Re z < {-t} "
+                                      f"at z={_first_center(~inner, z)!r}")
             out[~inner] = outer(z[~inner] + t)
         return out
 

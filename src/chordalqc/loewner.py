@@ -138,9 +138,11 @@ def pde_residual(h: ConformalMap, variant: str, z, t: float):
     return abs(dt + p * dz)
 
 
-def _require_in_h(z, where: str):
+def _require_in_h(z, ti=None):
+    """Name the first point of ``z`` off H, at the start or (formatted on failure) a step."""
     bad = z.real <= 0
     if _any(bad):
+        where = "start point" if ti is None else f"RK4 step from t={ti}"
         z = _first_center(bad, z)
         raise HorizonError(f"{where}: point left the right half-plane at z={z!r}")
 
@@ -151,7 +153,7 @@ def _rk4_step(field: HerglotzField, w, ti: float, hh: float):
     k3 = field.p(w + 0.5 * hh * k2, ti + 0.5 * hh)
     k4 = field.p(w + hh * k3, ti + hh)
     w = w + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    _require_in_h(w, f"RK4 step from t={ti}")
+    _require_in_h(w, ti)
     return w
 
 
@@ -162,7 +164,7 @@ def _substeps(field: HerglotzField, s: float, t: float, z, step: float):
         raise ValueError("step must be positive")
     if not (0 <= s <= t <= field.tau0 + 1e-12):
         raise HorizonError(f"need 0 <= s <= t <= tau0={field.tau0}, got s={s}, t={t}")
-    _require_in_h(z, "start point")
+    _require_in_h(z)
     if t == s:
         return 0, 0.0
     n = max(1, math.ceil((t - s) / step))

@@ -122,14 +122,14 @@ class NormProfile:
 # size than the whole mesh can have other bits.
 ELIDE_POINTS = 1 << 14
 
-# Points per block of the streamed strip scans.  Blocks hold whole Re levels
-# and never fewer than ELIDE_POINTS unless the whole grid is smaller, so they
-# keep the whole mesh's bits.  The smallest such size keeps the blocks in
-# flight on several threads small.
+# Points per block of the streamed strip scans and of the quadrature's density
+# calls.  Blocks hold whole Re levels (panels) and never fewer than ELIDE_POINTS
+# unless the whole grid (call) is smaller, so they keep the whole mesh's bits.
+# The smallest such size keeps the blocks in flight on several threads small.
 BLOCK_POINTS = ELIDE_POINTS
 
-# Most threads a strip scan runs its blocks on.  Each block in flight holds
-# about 6.6 MB of arrays, and two threads reach only 1.5-1.85x (8-12 alternating
+# Most threads a strip scan or a density call runs its blocks on.  Each strip block
+# in flight holds about 6.6 MB of arrays, and two threads reach only 1.5-1.85x (8-12 alternating
 # runs of a 2.1M-point scan, 2 CPUs, no page faults) because each jet call holds
 # the interpreter lock for part of its time; more threads were not measured, so
 # the cap keeps a scan's memory independent of the CPU count.
@@ -157,32 +157,34 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
-    """``run(a, b, mesh)``, ``mesh = xs[a:b, None] + 1j * ys[None, :]``, for the Re
-    levels ``a:b`` of each block of the grid ``xs`` by ``ys``: the one strip-grid evaluator.
+def _run_rows(run, rows: int, width: int):
+    """``run(a, b)`` for the rows ``a:b`` of each block of ``rows`` rows of ``width`` points:
+    the one block runner of strip grids (rows are Re levels) and density calls (panels).
 
-    Blocks hold whole levels and at least ``BLOCK_POINTS`` points (a short tail
-    joins the block before it).  A pool of one thread per CPU of the process, at most
-    ``MAX_WORKERS``, runs them while this thread waits; ``run`` writes only its own
-    levels, so results do not depend on the thread count.  No block starts once a
-    lower-numbered one has failed or this thread has left, no pool thread outlives the
-    call, and the exception raised is the lowest-numbered failing block's, as in a serial loop.
+    Blocks hold whole rows and at least ``BLOCK_POINTS`` points (a short tail joins the
+    block before it).  A lone block runs in this thread, several on a pool of one thread
+    per CPU of the process, at most ``MAX_WORKERS``, while this thread waits; ``run``
+    writes only its own rows, so results do not depend on the thread count.  No block
+    starts once a lower-numbered one has failed or this thread has left, no pool thread
+    outlives the call, and the exception raised is the lowest-numbered failing block's,
+    as in a serial loop.
     """
+    per = -(-BLOCK_POINTS // width)  # rows per block, rounded up
+    starts = list(range(0, rows, per))
+    if len(starts) > 1 and rows - starts[-1] < per:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [rows]))
+    if len(blocks) == 1:
+        return run(0, rows)
     from concurrent.futures import ThreadPoolExecutor, wait
 
-    rows = -(-BLOCK_POINTS // ys.size)  # levels per block, rounded up
-    starts = list(range(0, xs.size, rows))
-    if len(starts) > 1 and xs.size - starts[-1] < rows:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [xs.size]))
     failed = []  # numbers of the blocks that raised, -1 once this thread has left
 
     def work(i):
         if min(failed, default=i) < i:
             return  # a serial loop would have stopped at the lower failure
-        a, b = blocks[i]
         try:
-            run(a, b, xs[a:b, None] + 1j * ys[None, :])
+            run(*blocks[i])
         except BaseException:
             failed.append(i)
             raise
@@ -196,6 +198,12 @@ def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
             raise
     for future in futures:
         future.result()
+
+
+def _run_blocks(run, xs: np.ndarray, ys: np.ndarray):
+    """``run(a, b, mesh)``, ``mesh = xs[a:b, None] + 1j * ys[None, :]``, for the Re levels
+    ``a:b`` of each block (:func:`_run_rows`) of the grid ``xs`` by ``ys``: the strip evaluator."""
+    _run_rows(lambda a, b: run(a, b, xs[a:b, None] + 1j * ys[None, :]), xs.size, ys.size)
 
 
 def _run_scan(run, xs: np.ndarray, ys: np.ndarray, real: bool):

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chordalqc import carleson as carleson_mod
+from chordalqc import schwarz
 from chordalqc.carleson import (
     CALL_NODES,
     Density,
@@ -19,7 +23,7 @@ from chordalqc.carleson import (
 )
 from chordalqc.errors import EvaluationError, QuadratureError
 from chordalqc.extension import mu_formula
-from chordalqc.maps import half_strip_g, identity, perturbed_identity
+from chordalqc.maps import counterexample_f, half_strip_g, identity, perturbed_identity
 from chordalqc.schwarz import StripGrid, derivative_ratios
 
 SMALL_GRID = StripGrid(points_per_decade=16, y_max=20.0, y_count=65)
@@ -136,6 +140,88 @@ def test_scan_batches_density_calls():
     _assert_scan_matches_box_ratio(dens, rep)
 
 
+# a vmoa and a mu box is one panel, a composite box of |I| > t one panel per side of t;
+# the mu density of counterexample-f has other bits on arrays under 2**14 nodes
+BLOCKED_DENSITIES = {
+    "vmoa": lambda: vmoa_density(counterexample_f()),
+    "mu": lambda: mu_density(perturbed_identity(0.3), "schwarzian", 0.5),
+    "mu-counterexample-f": lambda: mu_density(counterexample_f(), "schwarzian", 0.5),
+    "mu-tilde": lambda: composite_density(counterexample_f(), 0.1,
+                                          outer=lambda z: np.zeros(np.shape(z), complex)),
+}
+
+# the density calls on two threads in blocks of at least 2**14 nodes, as one block each,
+# and in blocks on one thread
+CALL_LAYOUTS = ({"_cpu_count": lambda: 2}, {"BLOCK_POINTS": CALL_NODES}, {"MAX_WORKERS": 1})
+
+
+@st.composite
+def _box_sets(draw):
+    """Scales and positions of about 1-72, 73-145, 146-291 or 292-400 boxes, so that the
+    first round's calls hold fewer than 2**14 nodes, from 2**14 to 2**15, more than
+    2**15, or more than one call's CALL_NODES."""
+    scales = draw(st.lists(st.sampled_from((0.4, 0.2, 0.1, 0.05)), min_size=1, max_size=2,
+                           unique=True))
+    boxes = draw(st.integers(*draw(st.sampled_from(((1, 72), (73, 145), (146, 291),
+                                                     (292, 400))))))
+    start = draw(st.sampled_from((-8.0, 0.0)))
+    return scales, [start + 0.25 * j for j in range(-(-boxes // len(scales)))]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_DENSITIES))
+@settings(max_examples=6, deadline=None)
+@given(box_set=_box_sets())
+# 100 composite boxes of |I| > t: a 200-panel call of 22,500 inner nodes, fewer than
+# 2**14 in either block, so only a whole call keeps the inner nodes' bits
+@example(box_set=([0.4], [0.01 * j for j in range(100)]))
+def test_density_calls_keep_their_bits_in_every_layout(name, box_set):
+    density = BLOCKED_DENSITIES[name]()
+    calls, panel_sums = [], carleson_mod._panel_sums
+    tables, sums = [], []
+    for layout in CALL_LAYOUTS:
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in layout.items():
+                mp.setattr(schwarz, attr, value)
+            if not calls:
+                mp.setattr(carleson_mod, "_panel_sums",
+                           lambda d, panels: calls.append(panels) or panel_sums(d, panels))
+            tables.append(carleson_scan(density, *box_set).ratios.tobytes())
+            sums.append([np.array(panel_sums(density, panels)).tobytes() for panels in calls])
+    assert tables[1:] == tables[:-1]
+    assert sums[1:] == sums[:-1]
+
+
+def test_failing_blocked_call_raises_the_error_of_the_whole_call():
+    # boxes 0-72 of the 200-box call are block 0, which fails in the second operation;
+    # block 1 fails in the first, and so does the whole call
+    sizes = []
+
+    def _eval(z):
+        sizes.append(z.size)
+        if np.any(z.imag > 100):
+            raise EvaluationError("first operation")
+        if np.any(z.imag < 10):
+            raise EvaluationError("second operation")
+        return np.zeros(z.shape)
+
+    with pytest.raises(EvaluationError, match="^first operation$"):
+        carleson_scan(Density("fails", "H", _eval), scales=[1.0], positions=range(200))
+    assert min(sizes) < sizes[-1] == 200 * 225
+
+
+def test_one_block_call_starts_no_thread():
+    # the default 11 x 9 scan makes calls of at most 99 panels, a single block each
+    before = threading.enumerate()
+    seen = []
+
+    def _eval(z):
+        seen.append(threading.enumerate())
+        return np.abs(z)
+
+    carleson_scan(Density("abs", "H", _eval))
+    assert seen and all(threads == before for threads in seen)
+
+
 @pytest.mark.parametrize("empty", ["scales", "positions"])
 def test_scan_rejects_an_empty_box_list(empty):
     # None means the defaults; an empty list must not fall back to them
@@ -215,10 +301,12 @@ def test_mu_density_value_example():
 
 def test_mu_density_domain_guard():
     d = mu_density(perturbed_identity(0.3), "schwarzian", 0.25)
-    with pytest.raises(EvaluationError):
-        d.evaluator(np.array([-0.5 + 0j]))
-    with pytest.raises(EvaluationError):
-        d.evaluator(np.array([0.1 + 0j]))
+    for z, first in ((np.array([-0.5 + 0j]), "(-0.5+0j)"),
+                     (np.array([-0.1 + 0j, 0.1 + 2j, -0.5 + 0j]), "(0.1+2j)")):
+        with pytest.raises(EvaluationError) as exc:
+            d.evaluator(z)
+        assert str(exc.value) == ("dilatation density defined on -0.25 <= Re z < 0 only "
+                                  f"(outer extension not configured) at z={first}")
 
 
 def test_composite_inner_branch_matches_formula():
@@ -231,8 +319,12 @@ def test_composite_inner_branch_matches_formula():
 
 def test_composite_requires_outer_beyond_strip():
     field = composite_mu_tilde(perturbed_identity(0.3), 0.2)
-    with pytest.raises(EvaluationError, match="outer extension not configured"):
-        field(np.array([-0.5 + 1j]))
+    with pytest.raises(EvaluationError, match=r"^outer extension not configured "
+                                              r"for Re z < -0\.2 at z=\(-0\.5\+1j\)$"):
+        field(np.array([-0.1 + 0j, -0.5 + 1j, -0.7 + 0j]))
+    with pytest.raises(EvaluationError,
+                       match=r"^composite dilatation lives on Re z < 0 at z=\(0\.1\+2j\)$"):
+        field(np.array([-0.1 + 0j, 0.1 + 2j, 0.0 + 0j]))
     with_outer = composite_mu_tilde(perturbed_identity(0.3), 0.2,
                                     outer=lambda z: np.full(np.shape(z), 0.1 + 0j))
     assert with_outer(np.array([-0.5 + 1j])).tolist() == [0.1 + 0j]

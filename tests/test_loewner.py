@@ -169,6 +169,22 @@ def test_evolve_validates_arguments():
             flow(field, 0.0, 0.5, 1.0, step=0.0)
 
 
+def test_rk4_step_leaving_h_is_named():
+    # a drift of -4 moves every point by -0.5 per step of 0.125, so 0.75 leaves H on the
+    # step from t=0.125
+    class Drift(HerglotzField):
+        def p(self, z, t):
+            return -4.0 + 0 * z
+
+    field = Drift(identity(), "schwarzian", 0.5, 1.0)
+    for flow, z in ((evolve, np.array([2 + 1j, 0.75 + 0j, 0.9 - 1j])), (evolve, 0.75 + 0j),
+                    (evolve_trace, 0.75 + 0j)):
+        with pytest.raises(HorizonError) as exc:
+            flow(field, 0.0, 0.5, z, step=0.125)
+        assert str(exc.value) == ("RK4 step from t=0.125: point left the right half-plane "
+                                  "at z=(-0.25+0j)")
+
+
 def test_point_outside_h_is_named():
     field = small_field(identity())
     for z, first in ((-1 + 0j, "(-1+0j)"), (np.array([1 + 1j, -2 + 0j, -3j]), "(-2+0j)")):
