@@ -321,7 +321,10 @@ def mu_density(h: ConformalMap, variant: str, tau: float) -> Density:
 
 def composite_mu_tilde(h: ConformalMap, t: float, outer=None):
     """Piecewise dilatation on complex arrays of H* points: the closed schwarzian
-    form on -t <= Re z < 0, the supplied outer field shifted by t beyond."""
+    form on -t <= Re z < 0, the supplied outer field shifted by t beyond.  Each piece
+    is evaluated on its own points, with other bits from ELIDE_POINTS points of it in
+    one call on, so a box's integral depends on the boxes sharing its density calls,
+    within rounding (about 1e-15 relative)."""
     if t <= 0:
         raise ValueError("strip width t must be positive")
 

@@ -2,7 +2,9 @@
 
 Every subcommand delegates to one library operation and returns a CSV or
 JSON report that :func:`main` alone writes: identical configuration
-produces byte-identical output.
+produces byte-identical output.  A full ``verify-mu`` report's sample text
+is formatted on two processes where two CPUs are free (a forked child makes
+every other chunk), with the same bytes as one process makes.
 Exit codes: 0 success/PASS, 2 computed FAIL (a bound violated, no
 horizon at the requested level), 1 usage or evaluation error.
 
@@ -66,7 +68,8 @@ def _atomic_write(report, path: str | None):
     """Write ``report`` to ``path`` through a temporary file renamed into place, or
     to stdout when ``path`` is None: ASCII ``bytes``, or an iterable of ASCII ``str``
     chunks (a :class:`_Chunks`), each written as soon as it is made.  If making or
-    writing a chunk raises, the temporary file is removed and ``path`` is untouched."""
+    writing a chunk raises, the temporary file is removed and ``path`` is untouched,
+    and a report's formatting child is reaped before the error leaves this call."""
     chunks = (str(report, "ascii"),) if isinstance(report, bytes) else report
     if path is None:
         for chunk in chunks:
@@ -99,9 +102,12 @@ class _Chunks:
         self._size = 0
 
     def __iter__(self):
-        for chunk in self._chunks:
-            self._size += len(chunk)
-            yield chunk
+        try:
+            for chunk in self._chunks:
+                self._size += len(chunk)
+                yield chunk
+        finally:
+            self._chunks.close()  # a report left partway ends its formatting child here
 
     def __len__(self):
         return self._size
@@ -173,6 +179,61 @@ def _json_samples(columns, start: int, stop: int) -> str:
     return "".join(parts)
 
 
+def _made_in_turns(make, items):
+    """``make(item)``, ASCII text, for each of the sequence ``items`` in order.  Given
+    ``os.fork``, two items or more, one thread and two CPUs, a forked child makes the
+    odd-numbered ones and sends each through a pipe, length-prefixed, or its error
+    (pickled, else named), raised here in its place.  The child leaves by ``os._exit``;
+    however this ends, the pipe is closed, then the child reaped."""
+    import threading
+
+    from . import schwarz
+
+    if (not hasattr(os, "fork") or len(items) < 2 or threading.active_count() != 1
+            or min(schwarz._cpu_count(), MAX_WORKERS) < 2):
+        yield from map(make, items)
+        return
+    import pickle
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                for item in items[1::2]:
+                    try:
+                        kind, data = b"T", make(item).encode("ascii")
+                    except BaseException as exc:
+                        try:
+                            kind, data = b"E", pickle.dumps(exc)
+                            pickle.loads(data)
+                        except Exception:
+                            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    pipe.write(kind + len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
+                    if kind == b"E":
+                        break
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:  # closed first: a child still writing gets EPIPE
+            for i, item in enumerate(items):
+                if i % 2 == 0:
+                    yield make(item)
+                    continue
+                kind, size = pipe.read(1), int.from_bytes(pipe.read(8), "little")
+                data = pipe.read(size)
+                if not kind or len(data) < size:
+                    raise ChildProcessError(f"the formatting process ended before chunk {i}")
+                if kind == b"E":
+                    raise pickle.loads(data)
+                yield str(data, "ascii")
+    finally:
+        os.waitpid(pid, 0)
+
+
 def _json_doc(doc) -> bytes | _Chunks:
     """Indented JSON of ``doc``: ASCII bytes, or for a :class:`QCReport` with
     samples the :class:`_Chunks` of its text.
@@ -183,7 +244,9 @@ def _json_doc(doc) -> bytes | _Chunks:
     samples, each chunk's fields interleaved with the sample template by
     slices.  The head, everything before the samples, is made here; each
     sample chunk, then the tail, only when :func:`_atomic_write` asks for the
-    next one, so one chunk is the only copy of the samples' text.
+    next one, so one chunk per process is the only copy of the samples' text.
+    After the head, :func:`_made_in_turns` may fork a child that makes every
+    other chunk; the chunks are yielded in order either way.
     """
     if isinstance(doc, ext_mod.QCReport) and doc.points is None:
         doc = doc.to_json_dict()
@@ -199,8 +262,8 @@ def _json_doc(doc) -> bytes | _Chunks:
 
     def chunks():
         yield head + "["
-        for a in range(0, n, _SAMPLE_CHUNK):
-            yield _json_samples(columns, a, min(a + _SAMPLE_CHUNK, n))
+        yield from _made_in_turns(lambda a: _json_samples(columns, a, min(a + _SAMPLE_CHUNK, n)),
+                                  range(0, n, _SAMPLE_CHUNK))
         yield "\n  ]\n}\n"
 
     return _Chunks(chunks())
@@ -325,10 +388,12 @@ def _no_tau(ns):  # as _horizon_for
 def build_parser(required: bool = True, only: str | None = None) -> _Parser:
     """The CLI parser; ``required=False`` leaves out the checks of required flags
     and of flags against each other, for the parse that looks for ``--config``
-    (the file may supply values).  With ``only`` a subcommand name, the other
-    subcommands are listed without their flags, which they need only when invoked."""
+    (the file may supply values).  With ``only`` a subcommand name, only its parser
+    is built: the others are needed only when invoked, and the usage line still
+    names them all."""
     top = _Parser(prog="chordalqc", description=__doc__.split("\n\n")[0])
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=None if only is None else "{%s}" % ",".join(_HANDLERS))
     # built per parser, so a parse_map_spec rebound after import is the one called
     map_type, point_type, points_type = map(_arg_type, (parse_map_spec, parse_complex, _complex_list))
 
@@ -339,10 +404,10 @@ def build_parser(required: bool = True, only: str | None = None) -> _Parser:
         (option string -> add_argument keywords); the grid flags if ``grid``; --out,
         --format (``formats``, default ``fmt``; none when empty: JSON only), --config;
         and ``check`` across its flags.  Each subcommand's help lists its defaults."""
-        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                           **kwargs)
         if only is not None and name != only:
             return
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           **kwargs)
         if required:
             p.check = check
         if mapped:

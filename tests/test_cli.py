@@ -7,11 +7,12 @@ import resource
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import chordalqc
-from chordalqc import cli
+from chordalqc import cli, schwarz
 from chordalqc.cli import main
 from chordalqc.maps import parse_map_spec
 
@@ -395,10 +396,40 @@ def _flag_table(top):
 
 def test_each_subcommand_keeps_its_flags_defaults_and_choices():
     assert _flag_table(cli.build_parser()) == FLAG_TABLE
-    # main builds the flags of the invoked subcommand only; every name stays a choice
+    # main builds the invoked subcommand's parser only; the usage line still names them all
+    usage = cli.build_parser().format_usage()
     for name in FLAG_TABLE:
-        assert _flag_table(cli.build_parser(only=name)) == {
-            other: FLAG_TABLE[name] if other == name else {} for other in FLAG_TABLE}
+        assert _flag_table(cli.build_parser(only=name)) == {name: FLAG_TABLE[name]}
+        assert cli.build_parser(only=name).format_usage() == usage
+
+
+SMALLEST_ARGS = {
+    "maps-list": [], "eval": ["--map", "identity", "--z", "1"],
+    "norms": ["--map", "identity", "--t", "1"], "horizon": ["--map", "identity"],
+    "evolve": ["--map", "identity", "--t", "1", "--z", "1"], "pde-check": ["--map", "identity"],
+    "extend": ["--map", "identity", "--z", "1"], "verify-mu": ["--map", "identity"],
+    "trace-check": ["--map", "identity"], "carleson": ["--map", "identity"],
+    "mu-tilde": ["--map", "identity"],
+}
+
+
+@pytest.mark.parametrize("name", list(FLAG_TABLE))
+def test_subcommand_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, name):
+    # main builds the invoked subcommand's parser only: its --help, a usage error of its
+    # own parser and one of the top parser (whose usage line names every subcommand)
+    # read as they do from the parser with every subcommand
+    assert set(SMALLEST_ARGS) == set(FLAG_TABLE)
+    monkeypatch.setenv("COLUMNS", "80")
+    for args in ([name, "--help"], [name, "--out"], [name, *SMALLEST_ARGS[name], "--bogus"]):
+        texts = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(args)
+            texts.append((exc.value.code, *capsys.readouterr()))
+        assert texts[0] == texts[1]
+        assert texts[0][0] == (0 if "--help" in args else 1)
+        if "--bogus" in args:
+            assert texts[0][2].endswith("chordalqc: error: unrecognized arguments: --bogus\n")
 
 
 def test_config_value_is_checked_by_the_flag_type(tmp_path, capsys):
@@ -763,7 +794,9 @@ def test_written_report_length_is_the_out_file_size(tmp_path, monkeypatch, args)
 
 def test_report_failing_partway_leaves_the_out_file_untouched(tmp_path, monkeypatch):
     # the samples' second chunk raises after the head and the first chunk are written
-    # to the temporary file: it is removed, and the existing report keeps its bytes
+    # to the temporary file: it is removed, and the existing report keeps its bytes.
+    # On one CPU every chunk is made in this process, where the spy counts them
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: 1)
     out = tmp_path / "mu.json"
     out.write_bytes(b"old report\n")
     made, samples = [], cli._json_samples
@@ -782,6 +815,123 @@ def test_report_failing_partway_leaves_the_out_file_untouched(tmp_path, monkeypa
     assert made == [0, 4]
     assert out.read_bytes() == b"old report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json"]
+
+
+CHUNKED_REPORT = ["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "5",
+                  *FAST_GRID]  # 15 samples: 4 chunks of at most 4
+
+
+def _forks(monkeypatch, cpus: int, chunk: int = 4) -> list:
+    """Give the process ``cpus`` CPUs and reports chunks of ``chunk`` samples; the list
+    gets an entry per ``os.fork`` call."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(cpus)
+        return fork()
+
+    monkeypatch.setattr(schwarz, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_process_report_has_the_serial_bytes_and_leaves_no_child(tmp_path, monkeypatch):
+    outs = []
+    for cpus in (1, 2):
+        forks = _forks(monkeypatch, cpus)
+        outs.append(tmp_path / f"mu-{cpus}.json")
+        assert run([*CHUNKED_REPORT, "--out", str(outs[-1])]) == 0
+        assert len(forks) == (cpus > 1)
+        _no_child_left()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(json.loads(outs[1].read_bytes())["samples"]) == 15
+
+
+class _TwoArgError(Exception):  # pickles, but does not unpickle
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("error, raised", [
+    (MemoryError("second chunk"), (MemoryError, "second chunk")),
+    (_TwoArgError("second", "chunk"), (RuntimeError, "_TwoArgError: second chunk")),
+], ids=["pickled", "named"])
+def test_chunk_failing_in_the_child_leaves_the_out_file_untouched(tmp_path, monkeypatch,
+                                                                 error, raised):
+    # the second chunk is the child's first; its error is raised here at its place, after
+    # the head and the first chunk are written, so the temporary file is removed.  Both
+    # processes log the chunks they start: this one the first, the child the second only
+    out, log = tmp_path / "out" / "mu.json", tmp_path / "made.txt"
+    out.parent.mkdir()
+    out.write_bytes(b"old report\n")
+    samples = cli._json_samples
+
+    def failing_samples(columns, start, stop):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {start}\n")
+        if start == 4:
+            raise error
+        return samples(columns, start, stop)
+
+    forks = _forks(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_json_samples", failing_samples)
+    with pytest.raises(raised[0]) as exc:
+        run([*CHUNKED_REPORT, "--out", str(out)])
+    assert type(exc.value) is raised[0] and str(exc.value) == raised[1]
+    made = [line.split() for line in log.read_text().splitlines()]
+    assert len(forks) == 1 and sorted(int(start) for _, start in made) == [0, 4]
+    assert [int(start) for pid, start in made if int(pid) == os.getpid()] == [0]
+    assert out.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in out.parent.iterdir()) == ["mu.json"]
+    _no_child_left()
+
+
+def test_writer_stopping_partway_leaves_no_child(monkeypatch):
+    # 4,200 samples in 3 chunks: the writer takes the head and the first chunk and is
+    # interrupted while the child waits to send the second, which is larger than a pipe
+    # holds; the traceback keeps main's frame, and so the report, alive
+    forks = _forks(monkeypatch, 2, chunk=2048)
+    taken = []
+
+    def interrupted_write(report, path):
+        for chunk in report:
+            taken.append(chunk)
+            if len(taken) == 2:
+                raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_atomic_write", interrupted_write)
+    with pytest.raises(KeyboardInterrupt) as exc:
+        run(["verify-mu", "--map", "perturbed-identity:0.3", "--nx", "3", "--ny", "1400",
+             *FAST_GRID])
+    assert len(forks) == 1 and len(taken) == 2
+    _no_child_left()
+    assert exc.tb is not None  # held until here
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "second-thread", "one-chunk"])
+def test_report_forks_only_when_it_pays(tmp_path, monkeypatch, case):
+    forks = _forks(monkeypatch, 1 if case == "one-cpu" else 2)
+    if case == "one-chunk":
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 15)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if case == "second-thread":
+        thread.start()
+    try:
+        assert run([*CHUNKED_REPORT, "--out", str(tmp_path / "mu.json")]) == 0
+    finally:
+        done.set()
+    if case == "second-thread":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert forks == []
+    assert len(json.loads((tmp_path / "mu.json").read_bytes())["samples"]) == 15
 
 
 def test_out_file_mode_follows_umask(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -649,6 +650,21 @@ def _rendered(doc) -> bytes:
     return out if isinstance(out, bytes) else "".join(out).encode("ascii")
 
 
+def _rendered_by_both_writers(doc) -> bytes:
+    """``_rendered(doc)`` by the serial writer (one CPU) and by the two-process one
+    (two CPUs, one fork), checked equal."""
+    out = []
+    for cpus in (1, 2):
+        forks, fork = [], os.fork
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schwarz, "_cpu_count", lambda: cpus)
+            mp.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+            out.append(_rendered(doc))
+        assert len(forks) == (cpus > 1)
+    assert out[0] == out[1]
+    return out[1]
+
+
 _EDGE_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e-7, math.inf, -math.inf, math.nan]
 )
@@ -719,7 +735,10 @@ def test_json_doc_of_qc_report_across_chunks_matches_json_dumps():
                        0.1, 0.2, 1e-8, int(samples[3].sum()), (), *samples)
         with np.errstate(all="ignore"):
             expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
-            assert _rendered(rep) == expected
+            if samples is empty:
+                assert _rendered(rep) == expected
+            else:  # the serial writer, and the two-process one with a fork
+                assert _rendered_by_both_writers(rep) == expected
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -732,4 +751,4 @@ def test_json_doc_of_default_grid_report_matches_json_dumps(variant):
     assert rep.points.size > 15 * _SAMPLE_CHUNK
     assert np.intersect1d(fd[fd > 0], -fd[fd < 0]).size > rep.points.size // 4
     expected = (json.dumps(rep.to_json_dict(), indent=2) + "\n").encode("ascii")
-    assert _rendered(rep) == expected
+    assert _rendered_by_both_writers(rep) == expected
